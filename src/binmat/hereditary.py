@@ -2,23 +2,21 @@
 property critical numbers, Core membership, Ramsey small values, and the
 free-extension counting bound.
 
-Counting engines
-----------------
+Counting engine
+---------------
 A forbidden pattern N induces, per ambient dimension n, a finite set of
 *instance constraints*: pairs of point masks (oq, zq) such that a matroid
 with one-mask t contains that instance iff t & oq == oq and t & zq == 0.
-Membership in Forb is "no constraint active".  Two exact engines count
-members:
-
-* a DFS over points in ascending bit order, checking only the constraints
-  whose highest point was just assigned, with a 2^(remaining) shortcut once
-  all constrained points are set; strong when constraints have small
-  support (members are sparse and pruning bites);
-* a chunked numpy scan over all 2^(2^n - 1) tables, marking each constraint
-  with one strided boolean store; strong when every constraint has large
-  support (marking cost is 2^(npts - support) per constraint).
-
-The dispatcher picks the scan when its predicted op count fits a budget.
+Membership in Forb is "no constraint active".  One exact engine counts
+members: a bit-packed sweep over all 2^(2^n - 1) tables, 64 tables per
+uint64 word.  The low 6 table bits are the bit inside a word, so each
+constraint marks a precomputed word mask; the next MID_BITS table bits
+index a strided (2,)*MID_BITS view of a chunk of words, and the remaining
+high bits pick the chunk.  A constraint is OR-ed into the chunk only when
+its high bits agree with the chunk's, and np.bitwise_count counts the
+tables left unmarked.  Pinned points (free-extension counting) are
+substituted into the constraints before the sweep, which then runs over
+the free points only.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ __all__ = [
 ]
 
 CENSUS_MAX_DIM = 5  # 2^n - 1 table bits must fit a 31-bit mask
-SCAN_OP_BUDGET = 1 << 34
 RAMSEY_NODE_BUDGET = 50_000_000
 
 
@@ -147,142 +144,85 @@ def _merged_constraints(P: LocalProperty, n: int) -> tuple:
     return tuple(sorted(seen))
 
 
-# --- engines -----------------------------------------------------------------
+# --- engine --------------------------------------------------------------------
 
-def _scan_cost(npts: int, constraints: Sequence[tuple]) -> int:
-    low = min(npts, 24)
-    chunks = 1 << (npts - low)
-    base = chunks * (1 << low)
-    marking = sum(1 << (npts - (oq | zq).bit_count()) for oq, zq in constraints)
-    return base + marking
+WORD_BITS = 6  # 64 tables per uint64 word
+MID_BITS = 18  # 2^18 words (2 MiB) per chunk
 
 
-def _scan_count(npts: int, forbid, require) -> tuple[int, int]:
-    """Count tables avoiding all `forbid` constraints; of those, how many
-    activate at least one `require` constraint.  Full sweep in numpy."""
-    low = min(npts, 24)
-    high = npts - low
-    shape = (2,) * low
-    lowmask = (1 << low) - 1
+def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
+    """The constraints on the free points once the first fixed_points points
+    are pinned to fixed_ones, shifted so free point fixed_points + 1 is bit 0.
+    A constraint the pins contradict, or one that asks a point to be both
+    one and zero, can never hold and is dropped."""
+    pin = (1 << fixed_points) - 1
+    ones = fixed_ones & pin
+    kept = {}
+    for oq, zq in constraints:
+        if oq & zq or oq & pin & ~ones or zq & ones:
+            continue
+        kept[(oq >> fixed_points, zq >> fixed_points)] = None
+    return tuple(kept)
 
-    def idx_for(oq, zq):
-        idx: list = [slice(None)] * low
-        for b in range(low):
-            if (oq >> b) & 1:
-                idx[low - 1 - b] = 1
-            elif (zq >> b) & 1:
-                idx[low - 1 - b] = 0
-        return tuple(idx)
 
-    total = 0
-    hold = 0
-    for chunk in range(1 << high):
-        bad = np.zeros(shape, dtype=bool)
-        for oq, zq in forbid:
-            oh, zh = oq >> low, zq >> low
-            if (chunk & oh) == oh and (chunk & zh) == 0:
-                bad[idx_for(oq & lowmask, zq & lowmask)] = True
-        good = ~bad
-        total += int(np.count_nonzero(good))
+def _word_mask(oq: int, zq: int) -> np.uint64:
+    """Bit j set iff the table with low bits j satisfies (oq, zq) there."""
+    return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
+
+
+def _plan(mid: int, constraints) -> list:
+    """Per constraint: the chunk bits it needs (ones, zeros), the index of
+    the words it touches in the (2,)*mid view, and its word mask."""
+    low = (1 << WORD_BITS) - 1
+    plan = []
+    for oq, zq in constraints:
+        idx = []
+        for axis in range(mid):
+            bit = 1 << (WORD_BITS + mid - 1 - axis)
+            idx.append(1 if oq & bit else 0 if zq & bit else slice(None))
+        shift = WORD_BITS + mid
+        plan.append((oq >> shift, zq >> shift, tuple(idx), _word_mask(oq & low, zq & low)))
+    return plan
+
+
+def _scan(nbits: int, forbid, require=()) -> Iterator[tuple]:
+    """Sweep all 2^nbits tables, 64 per uint64 word (table t is bit t % 64
+    of word t // 64), one chunk of up to 2^MID_BITS words at a time.  Yield
+    (chunk, good, hit): good marks the tables on which no forbid constraint
+    holds, hit those on which some require constraint holds (None without
+    require); both arrays are reused from chunk to chunk.  Word w of chunk
+    c holds tables (c * 2^mid + w) * 64 + j, j < 64.  The constraints must
+    have been through _substitute."""
+    mid = max(0, min(MID_BITS, nbits - WORD_BITS))
+    valid = np.uint64((1 << (1 << min(nbits, WORD_BITS))) - 1)
+    forbid_plan = _plan(mid, forbid)
+    require_plan = _plan(mid, require) if require else None
+    words = np.empty(1 << mid, dtype=np.uint64)
+    hits = np.empty(1 << mid, dtype=np.uint64) if require else None
+
+    def mark(out, plan, c):
+        out.fill(0)
+        view = out.reshape((2,) * mid)
+        for oh, zh, idx, wm in plan:
+            if c & oh == oh and not c & zh:
+                view[idx] |= wm
+
+    for c in range(1 << max(0, nbits - WORD_BITS - mid)):
+        mark(words, forbid_plan, c)
+        np.invert(words, out=words)
+        words &= valid
         if require:
-            req = np.zeros(shape, dtype=bool)
-            for oq, zq in require:
-                oh, zh = oq >> low, zq >> low
-                if (chunk & oh) == oh and (chunk & zh) == 0:
-                    req[idx_for(oq & lowmask, zq & lowmask)] = True
-            hold += int(np.count_nonzero(good & req))
-    return total, hold
+            mark(hits, require_plan, c)
+        yield c, words, hits
 
 
-def _dfs_count(npts: int, forbid, fixed_points: int = 0, fixed_ones: int = 0) -> int:
-    """Exact member count by point-wise DFS with a free-tail shortcut."""
-    by_last: list[list] = [[] for _ in range(npts + 1)]
-    maxlast = fixed_points
-    for oq, zq in forbid:
-        sup = oq | zq
-        if sup == 0:
-            return 0  # the empty pattern embeds in everything
-        last = sup.bit_length()
-        by_last[last].append((oq, zq))
-        maxlast = max(maxlast, last)
-
-    def rec(p: int, ones: int) -> int:
-        if p > maxlast:
-            return 1 << (npts - p + 1)
-        if p <= fixed_points:
-            choices = ((fixed_ones >> (p - 1)) & 1,)
-        else:
-            choices = (0, 1)
-        total = 0
-        bit = 1 << (p - 1)
-        for v in choices:
-            t = ones | bit if v else ones
-            ok = True
-            for oq, zq in by_last[p]:
-                if (t & oq) == oq and (t & zq) == 0:
-                    ok = False
-                    break
-            if ok:
-                total += rec(p + 1, t)
-        return total
-
-    return rec(1, 0)
-
-
-def _dfs_members(npts: int, forbid, fixed_points: int = 0, fixed_ones: int = 0) -> Iterator[int]:
-    """Yield the one-masks of all members (no tail shortcut)."""
-    by_last: list[list] = [[] for _ in range(npts + 1)]
-    for oq, zq in forbid:
-        sup = oq | zq
-        if sup == 0:
-            return
-        by_last[sup.bit_length()].append((oq, zq))
-
-    def rec(p: int, ones: int) -> Iterator[int]:
-        if p > npts:
-            yield ones
-            return
-        if p <= fixed_points:
-            choices = ((fixed_ones >> (p - 1)) & 1,)
-        else:
-            choices = (0, 1)
-        bit = 1 << (p - 1)
-        for v in choices:
-            t = ones | bit if v else ones
-            ok = True
-            for oq, zq in by_last[p]:
-                if (t & oq) == oq and (t & zq) == 0:
-                    ok = False
-                    break
-            if ok:
-                yield from rec(p + 1, t)
-
-    yield from rec(1, 0)
-
-
-def _require_hits(members: Iterator[int], require) -> tuple[int, int]:
-    total = 0
-    hold = 0
-    buf: list[int] = []
-
-    def flush():
-        nonlocal hold
-        if not buf:
-            return
-        arr = np.array(buf, dtype=np.int64)
-        hit = np.zeros(len(arr), dtype=bool)
-        for oq, zq in require:
-            hit |= ((arr & oq) == oq) & ((arr & zq) == 0)
-        hold += int(np.count_nonzero(hit))
-        buf.clear()
-
-    for t in members:
-        total += 1
-        buf.append(t)
-        if len(buf) >= (1 << 20):
-            flush()
-    flush()
-    return total, hold
+def _members(n: int, forbid) -> Iterator[int]:
+    """The one-masks of the dim-n tables on which no forbid constraint
+    holds, in ascending order."""
+    for c, good, _ in _scan((1 << n) - 1, _substitute(forbid, 0, 0)):
+        bits = np.unpackbits(good.astype("<u8").view(np.uint8), bitorder="little")
+        base = c * 64 * len(good)
+        yield from (base + t for t in np.flatnonzero(bits).tolist())
 
 
 def count_members(
@@ -297,18 +237,22 @@ def count_members(
     A table t is a member iff no forbid constraint is active on it; the
     second component counts members with at least one active require
     constraint.  fixed_points/fixed_ones pin the values of the first
-    fixed_points points (free-extension counting).
+    fixed_points points (free-extension counting); only the free points
+    are scanned.  Raises BudgetExceeded, before allocating anything, when
+    more than 2^CENSUS_MAX_DIM - 1 points are free.
     """
-    npts = (1 << n) - 1
-    if npts == 0:
-        member = all(oq != 0 for oq, zq in forbid)
-        hit = member and any(oq == 0 for oq, zq in require)
-        return (1 if member else 0), (1 if hit else 0)
-    if fixed_points == 0 and _scan_cost(npts, list(forbid) + list(require)) <= SCAN_OP_BUDGET:
-        return _scan_count(npts, forbid, require)
-    if not require:
-        return _dfs_count(npts, forbid, fixed_points, fixed_ones), 0
-    return _require_hits(_dfs_members(npts, forbid, fixed_points, fixed_ones), require)
+    free = (1 << n) - 1 - fixed_points
+    cap = (1 << CENSUS_MAX_DIM) - 1
+    if free > cap:
+        raise BudgetExceeded(f"{free} free table bits exceed the exact-count cap of {cap}")
+    forbid = _substitute(forbid, fixed_points, fixed_ones)
+    require = _substitute(require, fixed_points, fixed_ones)
+    total = hold = 0
+    for _, good, hit in _scan(free, forbid, require):
+        total += int(np.bitwise_count(good).sum())
+        if require:
+            hold += int(np.bitwise_count(good & hit).sum())
+    return total, hold
 
 
 # --- censuses ----------------------------------------------------------------
@@ -652,8 +596,7 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
 
     if n > 4:
         raise BudgetExceeded("isomorphism-class census is capped at dim 4")
-    forbid = _merged_constraints(P, n)
     classes = set()
-    for t in _dfs_members((1 << n) - 1, forbid):
+    for t in _members(n, _merged_constraints(P, n)):
         classes.add(canonical_form(Matroid(n, t)).table)
     return len(classes)

@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import binmat.hereditary as hereditary
 from binmat.errors import BudgetExceeded
 from binmat.gf2 import Subspace, random_invertible_map
 from binmat.hereditary import (
     LocalProperty,
-    _dfs_count,
-    _scan_cost,
-    _scan_count,
+    _members,
     census,
     contains,
     core_membership,
@@ -59,6 +61,21 @@ def naive_census(P: LocalProperty, n: int) -> int:
     return sum(contains(P, Matroid(n, t)) for t in range(1 << ((1 << n) - 1)))
 
 
+def oracle_members(n, forbid, require=(), fixed_points=0, fixed_ones=0):
+    """Brute force over all 2^free tables: the free-point masks of the
+    members, and how many members activate some require constraint."""
+    pin = (1 << fixed_points) - 1
+    free = (1 << n) - 1 - fixed_points
+    members, hold = [], 0
+    for f in range(1 << free):
+        t = (f << fixed_points) | (fixed_ones & pin)
+        if any(t & oq == oq and t & zq == 0 for oq, zq in forbid):
+            continue
+        members.append(f)
+        hold += any(t & oq == oq and t & zq == 0 for oq, zq in require)
+    return members, hold
+
+
 # --- membership and censuses -----------------------------------------------------
 
 def test_contains_examples():
@@ -105,16 +122,86 @@ def test_census_cap():
         census(forb(O2), 6)
 
 
-# --- the two counting engines agree ------------------------------------------------
+# --- the counting engine against brute force -------------------------------------
 
 @pytest.mark.parametrize("pattern,n", [("O2", 3), ("O2", 4), ("ones:3", 4), ("I1", 3)])
 def test_scan_and_dfs_agree(pattern, n):
-    P = forb(bp(pattern))
-    npts = (1 << n) - 1
     cons = instance_constraints(bp(pattern), n)
-    scan_total, _ = _scan_count(npts, cons, ())
-    dfs_total = _dfs_count(npts, cons)
-    assert scan_total == dfs_total == census(P, n).count
+    members, _ = oracle_members(n, cons)
+    assert count_members(n, cons) == (len(members), 0)
+    assert census(forb(bp(pattern)), n).count == len(members)
+
+
+def point_sets(n, min_size=0):
+    """Masks over the 2^n - 1 points, any point as likely as any other."""
+    npts = (1 << n) - 1
+    if npts == 0:
+        return st.just(0)
+    return st.sets(st.integers(0, npts - 1), min_size=min_size).map(
+        lambda s: sum(1 << b for b in s))
+
+
+def constraint_lists(n):
+    """Up to five (oq, zq) pairs on disjoint points, plus at most one pair
+    that is either raw (it may ask a point to be both one and zero) or the
+    empty constraint (0, 0), which holds on every table."""
+    support, masks = point_sets(n, min_size=1), point_sets(n)
+    disjoint = st.tuples(support, masks).map(lambda p: (p[0] & p[1], p[0] & ~p[1]))
+    extra = st.one_of(st.tuples(masks, masks), st.just((0, 0)))
+    return st.tuples(st.lists(disjoint, max_size=5), st.lists(extra, max_size=1)).map(
+        lambda p: p[0] + p[1])
+
+
+# a small MID_BITS splits even 7- and 15-point sweeps into many chunks
+mid_bits = st.sampled_from([hereditary.MID_BITS, 3, 1, 0])
+
+
+@pytest.mark.parametrize("n", range(5))  # 0, 1, 3, 7 or 15 points
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mid=mid_bits)
+def test_count_members_matches_oracle(n, data, mid):
+    forbid = data.draw(constraint_lists(n))
+    require = data.draw(constraint_lists(n))
+    fixed_points = data.draw(st.integers(0, (1 << n) - 1))
+    fixed_ones = data.draw(point_sets(n))
+    members, hold = oracle_members(n, forbid, require, fixed_points, fixed_ones)
+    with mock.patch.object(hereditary, "MID_BITS", mid):
+        got = count_members(n, forbid, require, fixed_points, fixed_ones)
+    assert got == (len(members), hold)
+
+
+@pytest.mark.parametrize("n", range(5))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), mid=mid_bits)
+def test_members_match_oracle(n, data, mid):
+    forbid = data.draw(constraint_lists(n))
+    members, _ = oracle_members(n, forbid)
+    with mock.patch.object(hereditary, "MID_BITS", mid):
+        assert list(_members(n, forbid)) == members
+
+
+def test_count_members_edge_constraints():
+    # the pins (point 1 = 1, point 2 = 0) contradict the forbid constraint,
+    # which is dropped; the empty constraint leaves no member at all; a
+    # constraint asking point 8 (a strided-view bit) to be both one and
+    # zero holds on no table
+    assert count_members(3, ((0b11, 0b100),), ((0b1000000, 0),), 2, 0b01) == (32, 16)
+    assert count_members(4, ((0, 0),)) == (0, 0)
+    assert count_members(4, ((0, 0),), fixed_points=15, fixed_ones=5) == (0, 0)
+    assert count_members(4, ((1 << 7, 1 << 7),), ((1 << 7, 1 << 7),)) == (1 << 15, 0)
+
+
+def test_members_frozen_forb_o2():
+    P = forb(O2)
+    naive = [t for t in range(1 << 7) if contains(P, Matroid(3, t))]
+    assert list(_members(3, instance_constraints(O2, 3))) == naive
+    assert len(naive) == FORB_O2_COUNTS[3]
+
+
+def test_count_members_free_bit_cap():
+    # 63 free points would sweep 2^63 tables: refused before any allocation
+    with pytest.raises(BudgetExceeded, match="63 free table bits exceed the exact-count cap of 31"):
+        count_members(6, ((1, 0),))
 
 
 def test_count_members_with_fixed_prefix():
@@ -135,16 +222,6 @@ def test_count_members_with_require():
     # without the forbidden pattern: 2^4 tables vanish on the plane
     total2, hold2 = count_members(3, (), require=((0, plane),))
     assert hold2 == 1 << 4
-
-
-def test_scan_cost_prefers_wide_support():
-    # per-constraint marking cost is 2^(npts - support): the one-point
-    # pattern's 15 single-cell constraints each touch half the table and
-    # cost more than the plane pattern's 35 three-cell constraints
-    cons_narrow = instance_constraints(I1, 4)
-    cons_wide = instance_constraints(O2, 4)
-    assert _scan_cost(15, cons_narrow) > _scan_cost(15, cons_wide)
-    assert _scan_cost(15, cons_wide) > _scan_cost(15, ())
 
 
 # --- typical structure -------------------------------------------------------------
@@ -344,6 +421,19 @@ def test_count_free_extensions_not_applicable_without_base_instance():
 def test_count_free_extensions_cap():
     with pytest.raises(BudgetExceeded):
         count_free_extensions(Matroid.from_values([1]), 6, O2)
+
+
+def test_count_free_extensions_fully_pinned_dim6():
+    # 0 free points: the count says whether the base itself is O2-free
+    for value, want in ((1, 1), (0, 0)):
+        rep = count_free_extensions(Matroid.constant(6, value), 6, O2)
+        assert (rep.count, rep.total) == (want, 1)
+
+
+def test_count_free_extensions_frozen_n5():
+    # a 3-dim all-ones base, 24 free points at n=5
+    rep = count_free_extensions(Matroid(3, 127), 5, O2)
+    assert rep.count == 363109 and rep.total == 1 << 24
 
 
 def test_count_free_extensions_holds_exact_boundary():
