@@ -53,6 +53,7 @@ DEGREE_BFS_BUDGET = 1 << 22
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
 FACTOR_PARTITION_MAX_DIM = 20
+GOWERS_BATCH_CELLS = 1 << 16  # table cells per batched residual Gowers call
 
 
 @dataclass(frozen=True)
@@ -155,29 +156,23 @@ class NonclassicalPolynomial:
     def build(cls, n: int, degree: int, alpha=0, terms: Iterable = ()) -> "NonclassicalPolynomial":
         return cls(n, degree, _as_torus(alpha), frozenset(terms))
 
-    def eval_bits(self, x: int) -> TorusValue:
-        if not 0 <= x < (1 << self.n):
-            raise ValueError(f"{x:#x} is not in F_2^{self.n}")
+    def _units(self, x: int) -> int:
         d = self.degree
         acc = self.alpha.num << (d - self.alpha.log_den)
         for I, j in self.terms:
             if x & I == I:
                 acc += 1 << (d - j)
-        return TorusValue(acc, d)
+        return acc
+
+    def eval_bits(self, x: int) -> TorusValue:
+        if not 0 <= x < (1 << self.n):
+            raise ValueError(f"{x:#x} is not in F_2^{self.n}")
+        return TorusValue(self._units(x), self.degree)
 
     def int_table(self) -> tuple[tuple[int, ...], int]:
         """Values over all of F_2^n as ints in units of 2^-degree, plus degree."""
-        d = self.degree
-        base = self.alpha.num << (d - self.alpha.log_den)
-        mod = 1 << d
-        tbl = []
-        for x in range(1 << self.n):
-            acc = base
-            for I, j in self.terms:
-                if x & I == I:
-                    acc += 1 << (d - j)
-            tbl.append(acc % mod if mod > 1 else 0)
-        return tuple(tbl), d
+        mod = 1 << self.degree
+        return tuple(self._units(x) % mod for x in range(1 << self.n)), self.degree
 
     def table(self) -> tuple[TorusValue, ...]:
         tbl, d = self.int_table()
@@ -297,20 +292,12 @@ def verify_degree(
     zero = (0,) * size
     level = {tbl}
     ops = 0
-    exhaustive = True
     for _ in range(d + 1):
-        nxt = set()
-        for t in level:
-            ops += size * size
-            if ops > budget:
-                exhaustive = False
-                break
-            for y in range(size):
-                nxt.add(diff(t, y))
-        if not exhaustive:
+        ops += len(level) * size * size
+        if ops > budget:
             break
-        level = nxt
-    if exhaustive:
+        level = {diff(t, y) for t in level for y in range(size)}
+    else:
         return DegreeCheck(all(t == zero for t in level), True)
 
     rng = random.Random(seed)
@@ -365,13 +352,13 @@ def factor_partition(
         raise ValueError("empty factor needs an explicit dimension")
     if n > FACTOR_PARTITION_MAX_DIM:
         raise BudgetExceeded(f"factor partition is capped at dim {FACTOR_PARTITION_MAX_DIM}")
-    tables = [P.int_table()[0] for P in polys]
-    ids: dict[tuple, int] = {}
-    part_ids = []
-    for x in range(1 << n):
-        key = tuple(t[x] for t in tables)
-        part_ids.append(ids.setdefault(key, len(ids)))
-    n_parts = len(ids)
+    size = 1 << n
+    labels = np.zeros((1, size), dtype=np.int64)
+    for P in polys:  # own labels keep keys below size^2 whatever the degree
+        own = _partition_signatures(np.array([P.int_table()[0]]))
+        labels = _partition_signatures(labels * size + own)
+    part_ids = labels[0].tolist()
+    n_parts = max(part_ids) + 1
     d = max((P.degree for P in polys), default=0)
     C = len(polys)
     assert n_parts <= 1 << (d * C), (
@@ -380,14 +367,24 @@ def factor_partition(
     return PolynomialFactor(n, polys, tuple(part_ids), n_parts)
 
 
+def _partition_signatures(keys: np.ndarray) -> np.ndarray:
+    """First-seen part labels of each row of keys, as ids.setdefault(key,
+    len(ids)) assigns them in a scan over x; O(size log size) per row."""
+    r = np.arange(len(keys))[:, None]
+    cols = np.arange(keys.shape[1])
+    order = np.argsort(keys, axis=1, kind="stable")
+    srt = keys[r, order]
+    # the stable sort puts the first occurrence of each key at the head of its run
+    run_start = np.diff(srt, axis=1, prepend=srt[:, :1] - 1) != 0
+    head = np.maximum.accumulate(np.where(run_start, cols, 0), axis=1)
+    first = np.empty_like(order)
+    first[r, order] = order[r, head]
+    return (np.cumsum(first == cols, axis=1) - 1)[r, first]
+
+
 def _term_universe(n: int, d: int) -> list[tuple[int, int]]:
     """All normal-form terms (I, j) of degree <= d: I nonempty, |I|+j <= d+1."""
-    out = []
-    for I in range(1, 1 << n):
-        a = I.bit_count()
-        for j in range(1, d + 2 - a):
-            out.append((I, j))
-    return out
+    return [(I, j) for I in range(1, 1 << n) for j in range(1, d + 2 - I.bit_count())]
 
 
 def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolynomial]:
@@ -405,15 +402,38 @@ def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolyno
     return polys
 
 
-def _distinct_poly_tables(n: int, d: int) -> list[tuple[NonclassicalPolynomial, tuple]]:
+def _factor_candidates(n: int, d: int, C: int) -> tuple[list[NonclassicalPolynomial], np.ndarray]:
+    """The first normal form of each distinct value table (all share degree
+    d, so int tables compare functions) and each one's first-seen part
+    labels; refuses when too many C-multisets of them exist."""
     reps: dict[tuple, NonclassicalPolynomial] = {}
     for P in enumerate_normal_form_polynomials(n, d):
-        tbl = P.int_table()[0]
-        # normalize away precision so equal functions collide
-        key = tuple(Fraction(v, 1 << P.degree) for v in tbl)
-        if key not in reps:
-            reps[key] = P
-    return [(P, k) for k, P in reps.items()]
+        reps.setdefault(P.int_table()[0], P)
+    n_multisets = math.comb(len(reps) + C - 1, C)
+    if n_multisets > POLY_ENUM_CAP:
+        raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
+    return list(reps.values()), _partition_signatures(np.array(list(reps)))
+
+
+def _distinct_partitions(sigs: np.ndarray, C: int) -> dict[bytes, tuple]:
+    """The int64 label bytes of each distinct partition induced by C-multisets
+    of rows of sigs, mapped to the first such multiset in combinations with
+    replacement order; one block per (C-1)-prefix, vectorized over the last."""
+    R, size = sigs.shape
+    if C == 0:
+        return {np.zeros(size, dtype=np.int64).tobytes(): ()}
+    seen: dict[bytes, tuple] = {}
+    for prefix in itertools.combinations_with_replacement(range(R), C - 1):
+        first = prefix[-1] if prefix else 0
+        labels = sigs[first:first + 1] if prefix else 0
+        for i in set(prefix) - {first}:  # repeats do not refine the partition
+            labels = _partition_signatures(labels * size + sigs[i:i + 1])
+        block = _partition_signatures(labels * size + sigs[first:])
+        buf, w = block.tobytes(), block[0].nbytes
+        for j, k in enumerate(range(0, len(buf), w), first):
+            if buf[k:k + w] not in seen:
+                seen[buf[k:k + w]] = prefix + (j,)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -439,20 +459,8 @@ def count_factors(n: int, d: int, C: int) -> FactorCountReport:
     bound = n ** (d * C)
     if C == 0:
         return FactorCountReport(n, d, C, 1, bound, 1 <= bound)
-    reps = _distinct_poly_tables(n, d)
-    n_multisets = math.comb(len(reps) + C - 1, C)
-    if n_multisets > POLY_ENUM_CAP:
-        raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
-    partitions = set()
-    for combo in itertools.combinations_with_replacement(range(len(reps)), C):
-        tables = [reps[i][1] for i in combo]
-        ids: dict[tuple, int] = {}
-        sig = []
-        for x in range(1 << n):
-            key = tuple(t[x] for t in tables)
-            sig.append(ids.setdefault(key, len(ids)))
-        partitions.add(tuple(sig))
-    count = len(partitions)
+    _, sigs = _factor_candidates(n, d, C)
+    count = len(_distinct_partitions(sigs, C))
     return FactorCountReport(n, d, C, count, bound, count <= bound)
 
 
@@ -508,32 +516,34 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
                 f"2^{n * (d + 1)} terms exceed the exhaustive budget; "
                 f"pass samples= for Monte-Carlo"
             )
-        idx = np.arange(size)
-
-        def upow(a: np.ndarray, dd: int) -> float:
-            if dd == 1:
-                m = float(a.mean())
-                return m * m
-            return sum(upow(a * a[idx ^ h], dd - 1) for h in range(size)) / size
-
-        val = upow(arr, d)
+        val = float(_gowers_power(arr[None], d)[0])
         return max(val, 0.0) ** (1.0 / (1 << d))
     if samples <= 0:
         raise ValueError("monte_carlo mode needs samples > 0")
     rng = random.Random(seed)
     acc = 0.0
     for _ in range(samples):
-        x = rng.randrange(size)
-        hs = [rng.randrange(size) for _ in range(d)]
-        prod = 1.0
-        for bits in range(1 << d):
-            y = x
-            for i in range(d):
-                if (bits >> i) & 1:
-                    y ^= hs[i]
-            prod *= arr[y]
-        acc += prod
+        ys = [rng.randrange(size)]  # x, then x + sum_{i in S} h_i with S in bit order
+        for h in [rng.randrange(size) for _ in range(d)]:
+            ys += [y ^ h for y in ys]
+        acc += math.prod((arr[y] for y in ys), start=1.0)
     return max(acc / samples, 0.0) ** (1.0 / (1 << d))
+
+
+def _gowers_power(a: np.ndarray, d: int, perms=None) -> np.ndarray:
+    """Exhaustive E prod_{S subseteq [d]} f(x + sum_{i in S} h_i) for each
+    row f of a (rows, 2^n): the squared row mean at d = 1, else the sum over
+    h in ascending order of the level below, divided by 2^n."""
+    size = a.shape[1]
+    if d == 1:
+        m = np.add.reduce(a, axis=1) / size  # the bits of a.mean(axis=1)
+        return m * m
+    if perms is None:
+        perms = np.arange(size) ^ np.arange(size)[:, None]  # row h: x -> x + h
+    acc = 0.0
+    for p in perms:
+        acc = acc + _gowers_power(a * a.take(p, axis=1), d - 1, perms)
+    return acc / size
 
 
 # --- entropy and structured counting ----------------------------------------------
@@ -636,39 +646,29 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
         raise ValueError("table length must be a power of two")
     if C < 0:
         raise ValueError("complexity must be nonnegative")
-    garr = [float(v) for v in g]
-    reps = _distinct_poly_tables(n, d)
-    n_multisets = math.comb(len(reps) + C - 1, C) if C else 1
-    if n_multisets > POLY_ENUM_CAP:
-        raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
+    garr = np.array([float(v) for v in g])
+    polys, sigs = _factor_candidates(n, d, C)
     if 2 ** (n * (d + 2)) > GOWERS_EXHAUSTIVE_BUDGET:
         raise BudgetExceeded("residual Gowers norms exceed the exhaustive budget")
-    seen: dict[tuple, tuple] = {}
-    combos = (
-        itertools.combinations_with_replacement(range(len(reps)), C) if C else [()]
-    )
-    for combo in combos:
-        tables = [reps[i][1] for i in combo]
-        ids: dict[tuple, int] = {}
-        sig = []
-        for x in range(size):
-            key = tuple(t[x] for t in tables)
-            sig.append(ids.setdefault(key, len(ids)))
-        sig_t = tuple(sig)
-        if sig_t not in seen:
-            seen[sig_t] = tuple(reps[i][0] for i in combo)
-    best_sig = None
-    best_polys: tuple = ()
+    seen = _distinct_partitions(sigs, C)
+    keys, owners = list(seen), list(seen.values())
+    best_combo: tuple = ()
     best_res = math.inf
-    for sig_t, polys in seen.items():
-        parts: list[list[int]] = [[] for _ in range(max(sig_t) + 1)]
-        for x, pid in enumerate(sig_t):
-            parts[pid].append(x)
-        proj = conditional_expectation(garr, parts)
-        resid = gowers_norm([a - b for a, b in zip(garr, proj)], d + 1)
-        if resid < best_res:
-            best_res = resid
-            best_sig = sig_t
-            best_polys = polys
-    factor = factor_partition(best_polys, n=n)
+    step = max(1, GOWERS_BATCH_CELLS // size)
+    for lo in range(0, len(keys), step):
+        labels = np.frombuffer(b"".join(keys[lo:lo + step]), dtype=np.int64).reshape(-1, size)
+        # g - E[g|B]: part sums run over ascending x, as in conditional_expectation
+        rows = np.arange(len(labels))
+        sums, counts = np.zeros(labels.shape), np.zeros(labels.shape)
+        for x in range(size):
+            sums[rows, labels[:, x]] += garr[x]
+            counts[rows, labels[:, x]] += 1
+        proj = np.take_along_axis(sums, labels, axis=1) / np.take_along_axis(counts, labels, axis=1)
+        powers = _gowers_power(garr - proj, d + 1).tolist()
+        for combo, val in zip(owners[lo:lo + step], powers):
+            resid = max(val, 0.0) ** (1.0 / (1 << (d + 1)))
+            if resid < best_res:
+                best_res, best_combo = resid, combo
+    factor = factor_partition([polys[i] for i in best_combo], n=n)
     return factor, best_res
+

@@ -184,8 +184,11 @@ class Subspace:
     @cached_property
     def point_mask(self) -> int:
         """Bitmask over points: bit (p - 1) set for each nonzero p in the span."""
+        pts = [0]
+        for b in self.basis:
+            pts += [p ^ b for p in pts]
         mask = 0
-        for p in self.spanned_points():
+        for p in pts[1:]:
             mask |= 1 << (p - 1)
         return mask
 

@@ -225,6 +225,12 @@ def _members(n: int, forbid) -> Iterator[int]:
         yield from (base + t for t in np.flatnonzero(bits).tolist())
 
 
+def _check_free_bits(free: int) -> None:
+    cap = (1 << CENSUS_MAX_DIM) - 1
+    if free > cap:
+        raise BudgetExceeded(f"{free} free table bits exceed the exact-count cap of {cap}")
+
+
 def count_members(
     n: int,
     forbid: Sequence[tuple],
@@ -242,9 +248,7 @@ def count_members(
     more than 2^CENSUS_MAX_DIM - 1 points are free.
     """
     free = (1 << n) - 1 - fixed_points
-    cap = (1 << CENSUS_MAX_DIM) - 1
-    if free > cap:
-        raise BudgetExceeded(f"{free} free table bits exceed the exact-count cap of {cap}")
+    _check_free_bits(free)
     forbid = _substitute(forbid, fixed_points, fixed_ones)
     require = _substitute(require, fixed_points, fixed_ones)
     total = hold = 0
@@ -548,7 +552,9 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
     reported with the counting bound 2^(2^n (1 - 2^-k - eps)),
     eps = 2^-2^(d+1).  The bound is asserted when its hypotheses hold
     (k = n - dim M in [1, d], d <= n, and M contains the restriction
-    of Np to its first d - k coordinates)."""
+    of Np to its first d - k coordinates).  Raises BudgetExceeded, before
+    building any constraint, when more cells are free than the counting
+    engine's cap of 2^CENSUS_MAX_DIM - 1."""
     n = W_dim_ambient
     m = M.dim
     if n < m:
@@ -557,8 +563,7 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
     d = NpP.dim
     k = n - m
     free = ((1 << n) - 1) - ((1 << m) - 1)
-    if free > 25:
-        raise BudgetExceeded(f"{free} free cells exceed the enumeration cap (25)")
+    _check_free_bits(free)  # before building constraints for a large n
     cons = instance_constraints(NpP, n)
     count, _ = count_members(n, cons, fixed_points=(1 << m) - 1, fixed_ones=M.table)
     total = 1 << free

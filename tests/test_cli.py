@@ -158,6 +158,23 @@ def test_ext_count(capsys, tmp_path):
     assert res["bound_holds"] is True
 
 
+def test_ext_count_under_engine_cap(capsys):
+    # 28 free cells: within the counting engine's 31-free-bit cap
+    art = run_json(capsys, "ext-count", "--input", "ones:2", "--pattern", "O2",
+                   "--n", "5")
+    assert art["result"]["count"] == "1053934"
+    assert art["result"]["total"] == str(1 << 28)
+
+
+def test_ext_count_refuses_past_engine_cap(capsys):
+    # a dim-5 base in dimension 6 leaves 63 - 31 = 32 free cells
+    code, out, err = run(capsys, "ext-count", "--input", "ones:5", "--pattern",
+                         "O2", "--n", "6")
+    assert code == 2
+    assert out == ""
+    assert "32 free table bits exceed the exact-count cap of 31" in err
+
+
 def test_o2_check_row(capsys):
     art = run_json(capsys, "o2-check", "--forbid", "ones3", "--n", "4",
                    "--k", "2")

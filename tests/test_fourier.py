@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
@@ -28,6 +30,8 @@ from binmat.fourier import (
     polynomial_from_text,
     polynomial_to_text,
     verify_degree,
+    _gowers_power,
+    _partition_signatures,
 )
 from binmat.gf2 import GF2Vector
 from binmat.matroid import Matroid, RealFunction
@@ -406,3 +410,143 @@ def test_best_factor_residual_monotone_in_complexity():
 def test_best_factor_budget():
     with pytest.raises(BudgetExceeded):
         best_factor_search([0.0] * 256, 2, 1)
+
+
+# --- batched kernels against the per-element loops they replaced -------------------------
+#
+# The oracles below are the loops that factor_partition, count_factors,
+# best_factor_search and gowers_norm ran before their numpy kernels: a per-x
+# ids.setdefault signature per combo over Fraction-keyed distinct tables, then
+# per-partition conditional_expectation and the recursive exhaustive U_k norm.
+
+def _oracle_gowers(f, d):
+    arr = np.asarray(f, dtype=np.float64)
+    size = arr.size
+    idx = np.arange(size)
+
+    def upow(a, dd):
+        if dd == 1:
+            m = float(a.mean())
+            return m * m
+        return sum(upow(a * a[idx ^ h], dd - 1) for h in range(size)) / size
+
+    return max(upow(arr, d), 0.0) ** (1.0 / (1 << d))
+
+
+def _oracle_signature(tables, size):
+    ids = {}
+    return tuple(ids.setdefault(tuple(t[x] for t in tables), len(ids)) for x in range(size))
+
+
+def _oracle_partitions(n, d, C):
+    """Distinct partitions, each mapped to the first combo of polynomials."""
+    reps = {}
+    for P in enumerate_normal_form_polynomials(n, d):
+        reps.setdefault(tuple(Fraction(v, 1 << P.degree) for v in P.int_table()[0]), P)
+    reps = list(reps.items())
+    seen = {}
+    for combo in itertools.combinations_with_replacement(range(len(reps)), C):
+        sig = _oracle_signature([reps[i][0] for i in combo], 1 << n)
+        seen.setdefault(sig, tuple(reps[i][1] for i in combo))
+    return seen
+
+
+def _oracle_best_factor(g, d, C):
+    garr = [float(v) for v in g]
+    n = len(g).bit_length() - 1
+    best_polys, best_res = (), math.inf
+    for sig, polys in _oracle_partitions(n, d, C).items():
+        parts = [[] for _ in range(max(sig) + 1)]
+        for x, pid in enumerate(sig):
+            parts[pid].append(x)
+        proj = conditional_expectation(garr, parts)
+        resid = _oracle_gowers([a - b for a, b in zip(garr, proj)], d + 1)
+        if resid < best_res:
+            best_polys, best_res = polys, resid
+    part_ids = _oracle_signature([P.int_table()[0] for P in best_polys], len(g))
+    return part_ids, best_polys, best_res
+
+
+# (n, d, C) within the probe budgets where the oracle stays quick
+PROBE_SHAPES = [
+    (0, 1, 2), (1, 1, 3), (1, 3, 2), (2, 0, 3), (2, 1, 0), (2, 1, 3), (2, 2, 2),
+    (2, 3, 1), (3, 0, 1), (3, 1, 2), (3, 1, 3), (3, 2, 0), (3, 2, 1), (4, 1, 1),
+    (4, 1, 2),
+]
+PROBE_VALUES = [
+    st.integers(-8, 8).map(lambda k: Fraction(k, 8)),  # dyadic fractions
+    st.sampled_from([0.0, 0.5, 1.0]),  # many ties between partitions
+    st.floats(-1, 1),
+]
+
+
+@st.composite
+def probe_inputs(draw):
+    n, d, C = draw(st.sampled_from(PROBE_SHAPES))
+    values = draw(st.sampled_from(PROBE_VALUES))
+    return draw(st.lists(values, min_size=1 << n, max_size=1 << n)), d, C
+
+
+@settings(max_examples=60, deadline=None)
+@given(probe_inputs())
+def test_best_factor_matches_oracle(args):
+    g, d, C = args
+    factor, residual = best_factor_search(g, d, C)
+    part_ids, polys, oracle_res = _oracle_best_factor(g, d, C)
+    assert factor.part_ids == part_ids
+    assert [polynomial_to_text(P) for P in factor.polys] == [polynomial_to_text(P) for P in polys]
+    assert residual.hex() == oracle_res.hex()
+    n = len(g).bit_length() - 1
+    assert count_factors(n, d, C).count == len(_oracle_partitions(n, d, C))
+
+
+@given(st.lists(st.lists(st.integers(0, 5), min_size=8, max_size=8), min_size=1, max_size=6))
+def test_partition_signatures_match_setdefault(rows):
+    got = _partition_signatures(np.array(rows)).tolist()
+    assert got == [list(_oracle_signature([row], 8)) for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, 3), st.sets(st.integers(0, 30))), max_size=3),
+)))
+def test_factor_partition_matches_setdefault(args):
+    n, specs = args
+    polys = []
+    for d, picks in specs:
+        universe = [(I, j) for I in range(1, 1 << n) for j in range(1, d + 2 - I.bit_count())]
+        polys.append(NonclassicalPolynomial.build(
+            n, d, Fraction(len(picks) % (1 << d), 1 << d),
+            [universe[i % len(universe)] for i in picks] if universe else []))
+    B = factor_partition(polys, n=n)
+    assert B.part_ids == _oracle_signature([P.int_table()[0] for P in polys], 1 << n)
+    assert B.n_parts == max(B.part_ids) + 1
+
+
+def test_factor_partition_beyond_int64_values():
+    # degree 70: values up to 2^69 units of 2^-70 overflow int64
+    P = NonclassicalPolynomial.build(3, 70, 0, [(0b001, 70), (0b010, 1), (0b100, 2)])
+    B = factor_partition([P])
+    assert B.part_ids == _oracle_signature([P.int_table()[0]], 8)
+    assert B.n_parts == 8
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gowers_power_batched_matches_recursion(d):
+    rng = random.Random(d)
+    for size in (1, 2, 8, 16) + ((256,) if d < 3 else ()):  # 256: pairwise summation
+        rows = [[rng.uniform(-1, 1) for _ in range(size)] for _ in range(5)]
+        rows += [[0.5] * size, [float(x & 1) for x in range(size)]]
+        batched = _gowers_power(np.array(rows), d).tolist()
+        for f, v in zip(rows, batched):
+            oracle = _oracle_gowers(f, d)
+            assert (max(v, 0.0) ** (1.0 / (1 << d))).hex() == oracle.hex()
+            assert gowers_norm(f, d).hex() == oracle.hex()
+
+
+def test_count_factors_frozen():
+    assert count_factors(3, 2, 2).count == 1304
+    assert count_factors(3, 2, 1).count == 267
+    assert count_factors(4, 1, 2).count == 51
+    assert count_factors(3, 1, 2).count == 15

@@ -140,6 +140,15 @@ def test_subspaces_match_brute_force_closure(n, d):
     assert enumerated == brute_force_flats(n, d)
 
 
+def test_point_mask_matches_spanned_points_dim5():
+    for d in range(0, 6):
+        for S in enumerate_subspaces(5, d):
+            mask = 0
+            for p in S.spanned_points():
+                mask |= 1 << (p - 1)
+            assert S.point_mask == mask, S
+
+
 def test_gaussian_binomial_values():
     assert gaussian_binomial(4, 2) == 35
     assert gaussian_binomial(5, 1) == 31
