@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf2 import GF2Vector
+from .gf2 import GF2Vector, span_table
 from .matroid import Matroid, RealFunction
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 GOWERS_EXHAUSTIVE_BUDGET = 1 << 28
+GOWERS_ROW_OP_BUDGET = 1 << 16  # numpy calls on whole rows of one exhaustive U_d
 DEGREE_BFS_BUDGET = 1 << 22
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
@@ -500,8 +501,9 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
     """Gowers uniformity norm ||f||_{U_d} of a real function on F_2^n:
     the 2^d-th root of E prod_{S subseteq [d]} f(x + sum_{i in S} h_i).
 
-    Exhaustive when 2^(n(d+1)) fits the budget; otherwise Monte-Carlo with
-    the given sample count and seed (opt-in: refuses without samples).
+    Exhaustive when its 2^(n(d+1)) terms and 2^(n(d-1)) row operations fit
+    their budgets; otherwise Monte-Carlo with the given sample count and
+    seed (opt-in: refuses without samples).
     """
     if d < 1:
         raise ValueError("Gowers norms are defined for d >= 1")
@@ -511,11 +513,7 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
     if size != 1 << n:
         raise ValueError("table length must be a power of two")
     if samples is None:
-        if 2 ** (n * (d + 1)) > GOWERS_EXHAUSTIVE_BUDGET:
-            raise BudgetExceeded(
-                f"2^{n * (d + 1)} terms exceed the exhaustive budget; "
-                f"pass samples= for Monte-Carlo"
-            )
+        _check_gowers_budget(n, d, "; pass samples= for Monte-Carlo")
         val = float(_gowers_power(arr[None], d)[0])
         return max(val, 0.0) ** (1.0 / (1 << d))
     if samples <= 0:
@@ -523,11 +521,23 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
     rng = random.Random(seed)
     acc = 0.0
     for _ in range(samples):
-        ys = [rng.randrange(size)]  # x, then x + sum_{i in S} h_i with S in bit order
-        for h in [rng.randrange(size) for _ in range(d)]:
-            ys += [y ^ h for y in ys]
-        acc += math.prod((arr[y] for y in ys), start=1.0)
+        x = rng.randrange(size)  # then x + sum_{i in S} h_i with S in bit order
+        cube = span_table([rng.randrange(size) for _ in range(d)])
+        acc += math.prod((arr[x ^ y] for y in cube), start=1.0)
     return max(acc / samples, 0.0) ** (1.0 / (1 << d))
+
+
+def _check_gowers_budget(n: int, d: int, hint: str = "") -> None:
+    """Refuse an exhaustive U_d over 2^n points whose 2^(n(d+1)) terms or
+    2^(n(d-1)) numpy row operations (the real cost on small tables) exceed
+    their budgets."""
+    if 2 ** (n * (d + 1)) > GOWERS_EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"2^{n * (d + 1)} terms exceed the exhaustive budget{hint}")
+    if 2 ** (n * (d - 1)) > GOWERS_ROW_OP_BUDGET:
+        raise BudgetExceeded(
+            f"2^{n * (d - 1)} row operations exceed the budget of "
+            f"{GOWERS_ROW_OP_BUDGET}{hint}"
+        )
 
 
 def _gowers_power(a: np.ndarray, d: int, perms=None) -> np.ndarray:
@@ -648,8 +658,7 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
         raise ValueError("complexity must be nonnegative")
     garr = np.array([float(v) for v in g])
     polys, sigs = _factor_candidates(n, d, C)
-    if 2 ** (n * (d + 2)) > GOWERS_EXHAUSTIVE_BUDGET:
-        raise BudgetExceeded("residual Gowers norms exceed the exhaustive budget")
+    _check_gowers_budget(n, d + 1, " (residual Gowers norms)")
     seen = _distinct_partitions(sigs, C)
     keys, owners = list(seen), list(seen.values())
     best_combo: tuple = ()

@@ -9,6 +9,12 @@ Conventions used throughout the package:
   pivot is its lowest set bit, pivots strictly increase across rows, and
   every pivot bit is cleared from the other rows.  This representation is
   unique per subspace, so equality and hashing are structural.
+* Every span is computed by one kernel.  span_table(vectors) doubles a list
+  so that table[x] is the XOR of vectors[i] over the set bits i of x;
+  span_step() adds one vector to such a table in place and sets the new
+  points in a point mask, for searches that grow a span level by level.
+  subspace_point_masks() walks the same echelon shapes as
+  enumerate_subspaces() but yields point masks, not Subspace objects.
 * Enumeration APIs are exact and require n <= 31 structurally (tables and
   point masks are built from 2**n - 1 bits).  Practical caps: n <= 8 for
   subspace enumeration, n <= 6 for exhaustive injection generation.
@@ -33,12 +39,10 @@ __all__ = [
     "LinearInjections",
     "enumerate_points",
     "enumerate_subspaces",
-    "count_subspaces",
+    "subspace_point_masks",
     "gaussian_binomial",
-    "enumerate_linear_injections",
     "count_linear_injections",
     "random_linear_injection",
-    "random_invertible_map",
     "rooted_subspace_packing",
     "rref",
     "rank",
@@ -72,6 +76,45 @@ def rref(vectors: Sequence[int]) -> tuple[int, ...]:
 
 def rank(vectors: Sequence[int]) -> int:
     return len(rref(vectors))
+
+
+def span_table(vectors: Sequence[int]) -> list[int]:
+    """The 2^len(vectors) combinations of vectors, by doubling: table[x] is
+    the XOR of vectors[i] over the set bits i of x (table[0] = 0)."""
+    table = [0]
+    for v in vectors:
+        table += [p ^ v for p in table]
+    return table
+
+
+def span_step(table: list[int], level: int, v: int, mask: int) -> int:
+    """Add v as the level-th vector of a span table, in place: table[2^level
+    : 2^(level+1)] becomes table[:2^level] XOR v (a table of exactly 2^level
+    entries grows).  Returns mask (over points, bit p-1) with the new points
+    set; v must lie outside the span so far."""
+    half = 1 << level
+    table[half:half << 1] = new = [p ^ v for p in table[:half]]
+    for p in new:
+        mask |= 1 << (p - 1)
+    return mask
+
+
+def _span_mask(vectors: Sequence[int]) -> int:
+    """Point mask (bit p-1) of the span of linearly independent vectors."""
+    mask = 0
+    for p in span_table(vectors)[1:]:
+        mask |= 1 << (p - 1)
+    return mask
+
+
+def _mask_points(mask: int) -> list[int]:
+    """The points p whose bit p-1 is set in mask, ascending."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length())
+        mask ^= low
+    return pts
 
 
 @dataclass(frozen=True)
@@ -175,22 +218,12 @@ class Subspace:
 
     def spanned_points(self) -> list[int]:
         """The nonzero vectors of the subspace, ascending."""
-        pts = []
-        for coeffs in range(1, 1 << len(self.basis)):
-            pts.append(self.combination(coeffs))
-        pts.sort()
-        return pts
+        return sorted(span_table(self.basis)[1:])
 
     @cached_property
     def point_mask(self) -> int:
         """Bitmask over points: bit (p - 1) set for each nonzero p in the span."""
-        pts = [0]
-        for b in self.basis:
-            pts += [p ^ b for p in pts]
-        mask = 0
-        for p in pts[1:]:
-            mask |= 1 << (p - 1)
-        return mask
+        return _span_mask(self.basis)
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -201,13 +234,7 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         common = self.point_mask & other.point_mask
-        vecs = []
-        m = common
-        while m:
-            low = m & -m
-            vecs.append(low.bit_length())  # point p has mask bit p-1
-            m ^= low
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        return Subspace.from_vectors(self.ambient_dim, _mask_points(common))
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,36 +259,35 @@ def gaussian_binomial(n: int, d: int) -> int:
     return num // den
 
 
-def enumerate_subspaces(n: int, d: int) -> Iterator[Subspace]:
-    """Every d-dimensional subspace of F_2^n exactly once, canonical form.
+def _echelon_bases(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The canonical basis of every d-dimensional subspace of F_2^n.
 
-    Enumeration walks echelon shapes: choose the d pivot positions, then fill
-    the free cells (positions above a row's pivot that are not pivots of other
-    rows) in counting order.
+    Walks echelon shapes: choose the d pivot positions, then fill the free
+    cells (positions above a row's pivot that are not pivots of other rows)
+    in counting order, the last row fastest.
     """
     _check_dim(n)
     if d < 0 or d > n:
         raise ValueError(f"subspace dimension must be in [0, {n}], got {d}")
-    if d == 0:
-        yield Subspace(n, ())
-        return
     for pivots in itertools.combinations(range(n), d):
-        pivset = frozenset(pivots)
-        free = [[q for q in range(p + 1, n) if q not in pivset] for p in pivots]
-        for choice in itertools.product(*(range(1 << len(f)) for f in free)):
-            rows = []
-            for i, p in enumerate(pivots):
-                row = 1 << p
-                c = choice[i]
-                for k, q in enumerate(free[i]):
-                    if (c >> k) & 1:
-                        row |= 1 << q
-                rows.append(row)
-            yield Subspace(n, tuple(rows))
+        rows = []
+        for p in pivots:
+            free = [1 << q for q in range(p + 1, n) if q not in pivots]
+            rows.append([c | 1 << p for c in span_table(free)])
+        yield from itertools.product(*rows)
 
 
-def count_subspaces(n: int, d: int) -> int:
-    return gaussian_binomial(n, d)
+def enumerate_subspaces(n: int, d: int) -> Iterator[Subspace]:
+    """Every d-dimensional subspace of F_2^n exactly once, canonical form."""
+    for basis in _echelon_bases(n, d):
+        yield Subspace(n, basis)
+
+
+def subspace_point_masks(n: int, d: int) -> Iterator[int]:
+    """The point masks of enumerate_subspaces(n, d), in the same order,
+    without building Subspace objects."""
+    for basis in _echelon_bases(n, d):
+        yield _span_mask(basis)
 
 
 @dataclass(frozen=True)
@@ -371,12 +397,8 @@ class LinearInjections(SequenceABC):
             idx //= cap
         digits.reverse()
         images: list[int] = []
-        span_pts: list[int] = []  # sorted nonzero span elements
         for digit in digits:
-            img = self._kth_outside_span(span_pts, digit)
-            new_pts = [img] + [s ^ img for s in span_pts]
-            images.append(img)
-            span_pts = sorted(span_pts + new_pts)
+            images.append(self._kth_outside_span(sorted(span_table(images)[1:]), digit))
         return LinearMap(self.domain_dim, self.codomain_dim, tuple(images))
 
     def index(self, phi: LinearMap) -> int:
@@ -387,45 +409,37 @@ class LinearInjections(SequenceABC):
         if not phi.is_injective:
             raise ValueError("map is not injective")
         idx = 0
-        span_pts: list[int] = []
-        for cap, img in zip(self._level_counts, phi.images):
-            below = sum(1 for s in span_pts if s < img)
+        for i, (cap, img) in enumerate(zip(self._level_counts, phi.images)):
+            below = sum(1 for s in span_table(phi.images[:i])[1:] if s < img)
             digit = (img - 1) - below
             assert 0 <= digit < cap
             idx = idx * cap + digit
-            span_pts = sorted(span_pts + [img] + [s ^ img for s in span_pts])
         return idx
 
     def image_tuples(self) -> Iterator[tuple[int, ...]]:
         """Iterate the image tuples in index order without LinearMap overhead."""
         if self.vacuous:
             return
-        d, n = self.domain_dim, self.codomain_dim
-        npts = (1 << n) - 1
+        d, top = self.domain_dim, 1 << self.codomain_dim
+        if d == 0:
+            yield ()
+            return
         images = [0] * d
-        span_mask = [0] * (d + 1)  # bitmask over points, bit p-1
-        span_mask[0] = 0
+        table = [0]  # grows with the deepest level reached
 
-        def rec(level: int) -> Iterator[tuple[int, ...]]:
-            if level == d:
-                yield tuple(images)
+        def rec(level: int, mask: int) -> Iterator[tuple[int, ...]]:
+            # mask: the points (bit p-1) spanned by images[:level]
+            outside = [img for img in range(1, top) if not (mask >> (img - 1)) & 1]
+            if level == d - 1:  # the last span is never read
+                head = tuple(images[:level])
+                for img in outside:
+                    yield head + (img,)
                 return
-            mask = span_mask[level]
-            for img in range(1, npts + 1):
-                if (mask >> (img - 1)) & 1:
-                    continue
+            for img in outside:
                 images[level] = img
-                new = mask | (1 << (img - 1))
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    p = low.bit_length() ^ img  # point p = (bit index + 1) ^ img
-                    new |= 1 << (p - 1)
-                span_mask[level + 1] = new
-                yield from rec(level + 1)
+                yield from rec(level + 1, span_step(table, level, img, mask))
 
-        yield from rec(0)
+        yield from rec(0, 0)
 
     def __iter__(self) -> Iterator[LinearMap]:
         for images in self.image_tuples():
@@ -437,10 +451,6 @@ class LinearInjections(SequenceABC):
             return True
         except ValueError:
             return False
-
-
-def enumerate_linear_injections(d: int, n: int) -> LinearInjections:
-    return LinearInjections(d, n)
 
 
 def random_linear_injection(d: int, n: int, rng) -> LinearMap:
@@ -462,10 +472,6 @@ def random_linear_injection(d: int, n: int, rng) -> LinearMap:
         images.append(img)
         basis = list(rref(basis + [img]))
     return LinearMap(d, n, tuple(images))
-
-
-def random_invertible_map(n: int, rng) -> LinearMap:
-    return random_linear_injection(n, n, rng)
 
 
 def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspace]:
@@ -491,16 +497,11 @@ def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspa
     d = V_dim - W.dim + U.dim
     u_mask = U.point_mask
     w_mask = W.point_mask
-    family: list[Subspace] = []
     masks: list[int] = []
-    for X in enumerate_subspaces(V_dim, d):
-        xm = X.point_mask
-        if xm & w_mask != u_mask:
-            continue
-        if any(xm & fm != u_mask for fm in masks):
-            continue
-        family.append(X)
-        masks.append(xm)
+    for xm in subspace_point_masks(V_dim, d):
+        if xm & w_mask == u_mask and all(xm & fm == u_mask for fm in masks):
+            masks.append(xm)
+    family = [Subspace.from_vectors(V_dim, _mask_points(xm)) for xm in masks]
     m = len(family)
     bound = 2 ** (V_dim - 2 * d) if V_dim >= 2 * d else 0
     if U.dim < W.dim < V_dim:

@@ -31,7 +31,7 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf2 import LinearInjections, Subspace, enumerate_subspaces
+from .gf2 import LinearInjections, Subspace, span_table, subspace_point_masks
 from .matroid import (
     Matroid,
     Pattern,
@@ -120,13 +120,8 @@ def instance_constraints(N: Pattern, n: int) -> tuple:
     one_pts = [p for p in range(1, N.n_points + 1) if N.value_bits(p) == 1]
     zero_pts = [p for p in range(1, N.n_points + 1) if N.value_bits(p) == 0]
     seen = set()
-    phi = [0] * (1 << d)
     for images in LinearInjections(d, n).image_tuples():
-        for i in range(d):
-            blk = 1 << i
-            img = images[i]
-            for xoff in range(blk):
-                phi[blk + xoff] = phi[xoff] ^ img
+        phi = span_table(images)
         oq = 0
         for x in one_pts:
             oq |= 1 << (phi[x] - 1)
@@ -275,11 +270,8 @@ def census(P: LocalProperty, n: int) -> CensusRow:
 def _flat_requires(n: int, flat_dim: int, side: int) -> tuple:
     """One require constraint per dim-flat_dim subspace: all-zero (side 0)
     or all-one (side 1) on it."""
-    reqs = []
-    for S in enumerate_subspaces(n, flat_dim):
-        mask = S.point_mask
-        reqs.append((0, mask) if side == 0 else (mask, 0))
-    return tuple(reqs)
+    masks = subspace_point_masks(n, flat_dim)
+    return tuple((0, mask) if side == 0 else (mask, 0) for mask in masks)
 
 
 def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
@@ -415,7 +407,7 @@ def _search_good_coloring(n: int, d: int, node_budget: int) -> tuple[Optional[Ma
     npts = (1 << n) - 1
     if d > n:
         return Matroid(n, 0), 1
-    flats = [S.point_mask for S in enumerate_subspaces(n, d)]
+    flats = list(subspace_point_masks(n, d))
     by_last: list[list] = [[] for _ in range(npts + 1)]
     maxlast = 1
     for f in flats:
@@ -490,8 +482,7 @@ def verify_ramsey_result(result: RamseyResult, samples: int = 10_000, seed=0) ->
     for n, M in result.counterexamples.items():
         if M.dim != n:
             return False
-        for S in enumerate_subspaces(n, d) if d <= n else ():
-            f = S.point_mask
+        for f in subspace_point_masks(n, d) if d <= n else ():
             cap = M.table & f
             if cap == f or cap == 0:
                 return False
@@ -503,7 +494,7 @@ def verify_ramsey_result(result: RamseyResult, samples: int = 10_000, seed=0) ->
         return False
     if n - 1 not in result.counterexamples:
         return False  # a value is only accepted with its one-below certificate
-    flats = [S.point_mask for S in enumerate_subspaces(n, d)]
+    flats = list(subspace_point_masks(n, d))
     rng = random.Random(seed)
     npts = (1 << n) - 1
     for _ in range(samples):

@@ -27,6 +27,8 @@ from .gf2 import (
     enumerate_subspaces,
     random_linear_injection,
     rank,
+    span_step,
+    span_table,
 )
 
 __all__ = [
@@ -58,9 +60,14 @@ STAR = "*"
 
 EXTENSION_FREE_CELL_CAP = 25
 EVALUATION_STAR_CAP = 20
+TABLE_MAX_DIM = 20  # the largest dimension any routine handles (factor partitions)
 
 
 def _npts(dim: int) -> int:
+    """Number of points of F_2^dim.  Every table size goes through here, so
+    a dimension no routine handles is refused before anything is allocated."""
+    if not 0 <= dim <= TABLE_MAX_DIM:
+        raise ValueError(f"dimension must be in [0, {TABLE_MAX_DIM}], got {dim}")
     return (1 << dim) - 1
 
 
@@ -72,8 +79,6 @@ class Matroid:
     table: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
         if not 0 <= self.table < (1 << _npts(self.dim)):
             raise ValueError(f"table out of range for dim {self.dim}")
 
@@ -156,8 +161,6 @@ class Pattern:
     zeros: int
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
         full = (1 << _npts(self.dim)) - 1
         if not (0 <= self.ones <= full and 0 <= self.zeros <= full):
             raise ValueError(f"masks out of range for dim {self.dim}")
@@ -260,7 +263,7 @@ def _parse_table_text(text: str) -> tuple[int, str]:
     except ValueError:
         raise ValueError(f"bad dimension in {lines[0]!r}") from None
     chars = lines[1]
-    if dim < 0 or len(chars) != _npts(dim):
+    if len(chars) != _npts(dim):
         raise ValueError(f"table length {len(chars)} does not match dim={dim}")
     bad = set(chars) - {"0", "1", STAR}
     if bad:
@@ -303,15 +306,16 @@ def restrict(obj, W: Subspace):
     if W.ambient_dim != obj.dim:
         raise ValueError("subspace lives in a different ambient space")
     d = W.dim
+    pts = span_table(W.basis)
     if isinstance(obj, Matroid):
         table = 0
         for y in range(1, _npts(d) + 1):
-            table |= obj.value_bits(W.combination(y)) << (y - 1)
+            table |= obj.value_bits(pts[y]) << (y - 1)
         return Matroid(d, table)
     if isinstance(obj, Pattern):
         ones = zeros = 0
         for y in range(1, _npts(d) + 1):
-            v = obj.value_bits(W.combination(y))
+            v = obj.value_bits(pts[y])
             if v == 1:
                 ones |= 1 << (y - 1)
             elif v == 0:
@@ -353,14 +357,12 @@ def _search_instances(
             elif v == 0:
                 lvl.append((xoff, tgt_zeros))
         cons.append(lvl)
-    phi = [0] * (1 << d)
+    phi = [0] * (1 << d)  # the span table of images[:i]
     images = [0] * d
-    span_masks = [0] * (d + 1)
     emitted = 0
 
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, mask: int) -> Iterator[tuple[int, ...]]:
         nonlocal emitted
-        mask = span_masks[i]
         for img in range(1, (1 << n)):
             if (mask >> (img - 1)) & 1:
                 continue
@@ -379,22 +381,11 @@ def _search_instances(
                 if limit is not None and emitted >= limit:
                     return
                 continue
-            blk = 1 << i
-            for xoff in range(blk):
-                phi[blk + xoff] = phi[xoff] ^ img
-            new = mask | (1 << (img - 1))
-            m = mask
-            while m:
-                low = m & -m
-                m ^= low
-                q = low.bit_length() ^ img
-                new |= 1 << (q - 1)
-            span_masks[i + 1] = new
-            yield from rec(i + 1)
+            yield from rec(i + 1, span_step(phi, i, img, mask))
             if limit is not None and emitted >= limit:
                 return
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def find_instance(N, M) -> Optional[LinearMap]:
@@ -445,7 +436,7 @@ def canonical_form(M: Matroid) -> Matroid:
     order = sorted(range(1, npts + 1), key=lambda p: (vals[p - 1], p))
     done = False
 
-    def rec(i: int, span_pts: list[int], span_mask: int) -> None:
+    def rec(i: int, span_mask: int) -> None:
         nonlocal done
         base = (1 << i) - 1
         blk = 1 << i
@@ -466,15 +457,9 @@ def canonical_form(M: Matroid) -> Matroid:
                         done = True
                         return
                 continue
-            for xoff in range(blk):
-                phi[blk + xoff] = phi[xoff] ^ img
-            new_pts = [img] + [s ^ img for s in span_pts]
-            new_mask = span_mask
-            for q in new_pts:
-                new_mask |= 1 << (q - 1)
-            rec(i + 1, span_pts + new_pts, new_mask)
+            rec(i + 1, span_step(phi, i, img, span_mask))
 
-    rec(0, [], 0)
+    rec(0, 0)
     table = 0
     for i, v in enumerate(best):
         table |= v << i
@@ -502,8 +487,6 @@ class RealFunction:
     values: tuple
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dimension must be nonnegative")
         if len(self.values) != _npts(self.dim):
             raise ValueError(f"need 2^dim - 1 values, got {len(self.values)}")
         for v in self.values:
@@ -557,14 +540,8 @@ def density_in_function(N, f: RealFunction, samples: Optional[int] = None, seed:
         seq = LinearInjections(d, n)
         total = len(seq)
         acc = Fraction(0) if f.is_exact else 0.0
-        phi = [0] * (1 << d)
         for images in seq.image_tuples():
-            for i in range(d):
-                blk = 1 << i
-                img = images[i]
-                for xoff in range(blk):
-                    phi[blk + xoff] = phi[xoff] ^ img
-            acc += term(lambda x: phi[x])
+            acc += term(span_table(images).__getitem__)
         return acc / total
     if samples <= 0:
         raise ValueError("monte_carlo mode needs samples > 0")
@@ -582,9 +559,8 @@ def bose_burton(k: int, d: int) -> Pattern:
     """Dim-d pattern: '*' on the canonical codim-k subspace, 1 elsewhere."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    star_pts = (1 << (d - k)) - 1  # points below 2^(d-k) span the star subspace
-    stars = (1 << star_pts) - 1
     full = (1 << _npts(d)) - 1
+    stars = (1 << _npts(d - k)) - 1  # points below 2^(d-k) span the star subspace
     return Pattern(d, full ^ stars, 0)
 
 
@@ -596,8 +572,7 @@ def vanishing_pattern(k: int, d: int) -> Pattern:
     """
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    zero_pts = (1 << (d - k)) - 1
-    return Pattern(d, 0, (1 << zero_pts) - 1)
+    return Pattern(d, 0, (1 << _npts(d - k)) - 1)
 
 
 def is_k_affine(A: Pattern, k: int) -> bool:
@@ -647,6 +622,7 @@ def _max_flat_dim_in_mask(n: int, pts_mask: int) -> int:
         cap += 1
     best = 0
     seen = set()
+    table = [0]  # the span table of the current flat; span_step grows it
 
     def rec(span_mask: int, dim: int, min_next: int) -> None:
         nonlocal best
@@ -654,28 +630,21 @@ def _max_flat_dim_in_mask(n: int, pts_mask: int) -> int:
             best = dim
         if best >= cap:
             return
+        span_pts = table[1:1 << dim]
         for p in range(min_next, (1 << n)):
             pb = 1 << (p - 1)
             if not pts_mask & pb or span_mask & pb:
                 continue
-            new_mask = span_mask | pb
-            ok = True
-            m = span_mask
-            while m:
-                low = m & -m
-                m ^= low
-                q = low.bit_length() ^ p
-                qb = 1 << (q - 1)
-                if not pts_mask & qb:
-                    ok = False
+            for q in span_pts:  # the coset p + span must lie in pts_mask
+                if not (pts_mask >> ((q ^ p) - 1)) & 1:
                     break
-                new_mask |= qb
-            if not ok or new_mask in seen:
-                continue
-            seen.add(new_mask)
-            rec(new_mask, dim + 1, p + 1)
-            if best >= cap:
-                return
+            else:
+                new_mask = span_step(table, dim, p, span_mask)
+                if new_mask not in seen:
+                    seen.add(new_mask)
+                    rec(new_mask, dim + 1, p + 1)
+                    if best >= cap:
+                        return
 
     rec(0, 0, 1)
     return best
@@ -694,7 +663,7 @@ def extensions(M: Matroid, k: int, exact_dim: bool = True) -> Iterator[Matroid]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = M.dim
-    free = _npts(n + k) - _npts(n)
+    free = (1 << (n + k)) - (1 << n)  # budget first: n + k may pass TABLE_MAX_DIM
     if free > EXTENSION_FREE_CELL_CAP:
         raise BudgetExceeded(
             f"{free} free cells exceed the enumeration cap "

@@ -29,8 +29,8 @@ from binmat.fourier import (
     verify_degree,
 )
 from binmat.gf2 import (
+    LinearInjections,
     Subspace,
-    enumerate_linear_injections,
     enumerate_subspaces,
     gaussian_binomial,
     rooted_subspace_packing,
@@ -82,7 +82,7 @@ def test_02_injection_counts(capsys):
     bad = []
     for n in range(7):
         for d in range(n + 1):
-            seq = enumerate_linear_injections(d, n)
+            seq = LinearInjections(d, n)
             expect = math.prod((1 << n) - (1 << i) for i in range(d))
             if len(seq) != expect:
                 bad.append((d, n))

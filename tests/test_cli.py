@@ -254,6 +254,13 @@ def test_exit_code_bad_builtin(capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+def test_exit_code_dimension_past_table_cap(capsys):
+    code, out, err = run(capsys, "instance", "--pattern", "I1", "--target", "ones:40")
+    assert code == 1 and out == ""
+    assert "binmat: error:" in err and "dimension must be in [0, 20], got 40" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_bad_flag(capsys):
     code, out, err = run(capsys, "census", "--n")
     assert code == 1 and out == ""

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -315,6 +316,17 @@ def test_gowers_budget_refusal():
     f = [0.0] * 256
     with pytest.raises(BudgetExceeded):
         gowers_norm(f, 3)
+
+
+def test_gowers_row_op_budget_refusal():
+    # 2^28 terms fit the term budget, but they take 2^26 numpy row operations
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="2\\^26 row operations"):
+        gowers_norm([1.0, 0.5], 27)
+    assert time.perf_counter() - t0 < 1.0
+    assert gowers_norm([0.5] * 16, 5) == pytest.approx(0.5, abs=1e-12)  # 2^16 row operations
+    with pytest.raises(BudgetExceeded, match="2\\^20 row operations"):
+        gowers_norm([0.5] * 16, 6)  # 2^28 terms, 2^20 row operations
 
 
 def test_gowers_rejects_bad_lengths():

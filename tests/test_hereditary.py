@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import binmat.hereditary as hereditary
 from binmat.errors import BudgetExceeded
-from binmat.gf2 import Subspace, random_invertible_map
+from binmat.gf2 import Subspace, random_linear_injection
 from binmat.hereditary import (
     LocalProperty,
     _members,
@@ -283,7 +283,7 @@ def test_members_closed_under_isomorphism():
     rng = random.Random(5)
     for _ in range(20):
         M = sample_matroid(4, rng)
-        phi = random_invertible_map(4, rng)
+        phi = random_linear_injection(4, 4, rng)
         values = [0] * M.n_points
         for x in range(1, M.n_points + 1):
             values[phi.apply_bits(x) - 1] = M(x)

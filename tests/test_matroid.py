@@ -1,16 +1,20 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
-from binmat.gf2 import LinearInjections, Subspace, random_invertible_map
+from binmat.gf2 import LinearInjections, Subspace, random_linear_injection
 from binmat.matroid import (
     Matroid,
     Pattern,
     RealFunction,
     STAR,
+    TABLE_MAX_DIM,
     bose_burton,
     builtin_pattern,
     canonical_form,
@@ -217,13 +221,54 @@ def test_canonical_form_is_iso_invariant():
         M = sample_matroid(n, rng)
         C = canonical_form(M)
         assert is_isomorphic(M, C)
-        phi = random_invertible_map(n, rng)
+        phi = random_linear_injection(n, n, rng)
         assert canonical_form(apply_invertible(M, phi)) == C
+
+
+@functools.lru_cache(maxsize=None)
+def gl_point_maps(n: int) -> tuple:
+    """For each invertible phi of F_2^n, the tuple (phi(1), ..., phi(2^n - 1))."""
+    return tuple(
+        tuple(phi.apply_bits(x) for x in range(1, 1 << n))
+        for phi in LinearInjections(n, n)
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << ((1 << n) - 1)) - 1))))
+def test_canonical_form_matches_gl_minimum(case):
+    n, table = case
+    M = Matroid(n, table)
+    vals = [M(p) for p in range(1, 1 << n)]
+    best = min(tuple(vals[q - 1] for q in qs) for qs in gl_point_maps(n))
+    C = canonical_form(M)
+    assert tuple(C(p) for p in range(1, 1 << n)) == best
 
 
 def test_canonical_form_cap():
     with pytest.raises(BudgetExceeded):
         canonical_form(Matroid.constant(6, 1))
+
+
+def test_dimension_cap_before_allocation():
+    big = TABLE_MAX_DIM + 1
+    for make in (
+        lambda: Matroid(big, 0),
+        lambda: Matroid.constant(40, 1),
+        lambda: Pattern(big, 0, 0),
+        lambda: RealFunction(big, ()),
+        lambda: sample_matroid(big, 0),
+        lambda: bose_burton(0, 40),
+        lambda: vanishing_pattern(0, 40),
+        lambda: builtin_pattern("ones:40"),
+        lambda: builtin_pattern("zeros:21"),
+        lambda: builtin_pattern("BB:1:40"),
+        lambda: load_table("dim=40\n0\n"),
+        lambda: Matroid(-1, 0),
+    ):
+        with pytest.raises(ValueError, match="dimension must be in"):
+            make()
+    assert Matroid.constant(TABLE_MAX_DIM, 0).dim == TABLE_MAX_DIM
 
 
 # --- densities on real functions -----------------------------------------------------
@@ -348,6 +393,8 @@ def test_extensions_counts():
 def test_extensions_cap():
     with pytest.raises(BudgetExceeded):
         list(extensions(Matroid.constant(1, 1), 4))
+    with pytest.raises(BudgetExceeded):  # a budget refusal, not the table dimension cap
+        list(extensions(Matroid.constant(1, 1), 25))
 
 
 def test_ext_membership():
@@ -362,7 +409,7 @@ def test_ext_membership_uses_isomorphism():
     # extension restricted along a non-coordinate subspace still counts
     M = Matroid.from_values([1, 0, 0])
     E = next(iter(extensions(M, 1)))
-    phi = random_invertible_map(3, random.Random(2))
+    phi = random_linear_injection(3, 3, random.Random(2))
     E2 = apply_invertible(E, phi)
     assert ext_membership(E2, M, 1)
 
