@@ -15,6 +15,9 @@ Conventions used throughout the package:
   points in a point mask, for searches that grow a span level by level.
   subspace_point_masks() walks the same echelon shapes as
   enumerate_subspaces() but yields point masks, not Subspace objects.
+* The conjugacy classes of GL(n, 2) come from rational canonical forms,
+  with class sizes from centralizer orders (Kung 1981; Macdonald,
+  Symmetric Functions and Hall Polynomials, ch. IV), for orbit counting.
 * Enumeration APIs are exact and require n <= 31 structurally (tables and
   point masks are built from 2**n - 1 bits).  Practical caps: n <= 8 for
   subspace enumeration, n <= 6 for exhaustive injection generation.
@@ -24,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -341,6 +345,98 @@ def count_linear_injections(d: int, n: int) -> int:
     if d > n:
         return 0
     return math.prod((1 << n) - (1 << i) for i in range(d))
+
+
+def _poly_mul(a: int, b: int) -> int:
+    """Product in GF(2)[x]; bit i of a polynomial is its x^i coefficient."""
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def _poly_mod(a: int, b: int) -> int:
+    """Remainder of a modulo b (b != 0) in GF(2)[x]."""
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
+    return a
+
+
+def _irreducibles(max_deg: int) -> list[int]:
+    """The monic irreducible polynomials of degree 1..max_deg over GF(2)
+    other than x (the ones that can divide a characteristic polynomial of
+    an invertible matrix), ascending."""
+    found: list[int] = []
+    for f in range(3, 1 << (max_deg + 1), 2):
+        if all(_poly_mod(f, g) for g in found if 2 * g.bit_length() <= f.bit_length() + 1):
+            found.append(f)
+    return found
+
+
+def _partitions(m: int, largest: int = 0) -> Iterator[tuple[int, ...]]:
+    """The partitions of m, parts nonincreasing and at most largest (if set)."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - first, first):
+            yield (first,) + rest
+
+
+def _centralizer_factor(q: int, parts: tuple[int, ...]) -> int:
+    """The factor of a centralizer order that one irreducible f with
+    q = 2^deg f and partition parts contributes:
+    q^(sum_j lambda'_j^2) * prod_i prod_{j <= m_i} (1 - q^-j), where lambda'
+    is the conjugate partition and m_i the multiplicity of part i."""
+    conjugate = [sum(1 for p in parts if p > j) for j in range(parts[0])] if parts else []
+    mults = Counter(parts).values()
+    exp = sum(c * c for c in conjugate) - sum(m * (m + 1) // 2 for m in mults)
+    return q**exp * math.prod(q**j - 1 for m in mults for j in range(1, m + 1))
+
+
+@lru_cache(maxsize=None)
+def _gl_conjugacy_classes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One (columns, class size) pair per conjugacy class of GL(n, 2).
+
+    A class is fixed by a partition lambda_f per monic irreducible f != x
+    with sum_f deg f * |lambda_f| = n.  Its representative (the images of
+    the standard basis, as for LinearMap) is the rational canonical form:
+    block-diagonal companion matrices of f^k, one per part k of lambda_f.
+    The class size is |GL(n, 2)| / |C(g)|, with the centralizer order the
+    product of _centralizer_factor over the f.
+    """
+    order = count_linear_injections(n, n)
+    irreducibles = _irreducibles(n)
+    classes: list[tuple[tuple[int, ...], int]] = []
+
+    def rec(i: int, left: int, blocks: list[int], centralizer: int) -> None:
+        if left == 0:
+            cols: list[int] = []
+            for p in blocks:  # companion matrix of p on the next deg p coordinates
+                off, deg = len(cols), p.bit_length() - 1
+                cols += [1 << (off + j + 1) for j in range(deg - 1)]
+                cols.append((p ^ (1 << deg)) << off)
+            assert order % centralizer == 0
+            classes.append((tuple(cols), order // centralizer))
+            return
+        if i == len(irreducibles):
+            return
+        f = irreducibles[i]
+        deg = f.bit_length() - 1
+        powers = [1]  # powers[k] = f^k
+        for size in range(left // deg + 1):
+            for parts in _partitions(size):
+                rec(i + 1, left - deg * size, blocks + [powers[k] for k in parts],
+                    centralizer * _centralizer_factor(1 << deg, parts))
+            powers.append(_poly_mul(powers[-1], f))
+
+    rec(0, n, [], 1)
+    assert sum(size for _, size in classes) == order
+    return tuple(classes)
 
 
 class LinearInjections(SequenceABC):

@@ -16,7 +16,8 @@ high bits pick the chunk.  A constraint is OR-ed into the chunk only when
 its high bits agree with the chunk's, and np.bitwise_count counts the
 tables left unmarked.  Pinned points (free-extension counting) are
 substituted into the constraints before the sweep, which then runs over
-the free points only.
+the free points only.  The isomorphism-class census runs the same sweep
+once per conjugacy class of GL(n,2), with one table bit per cycle.
 """
 
 from __future__ import annotations
@@ -31,7 +32,15 @@ from typing import Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf2 import LinearInjections, Subspace, span_table, subspace_point_masks
+from .gf2 import (
+    LinearInjections,
+    Subspace,
+    _gl_conjugacy_classes,
+    _mask_points,
+    count_linear_injections,
+    span_table,
+    subspace_point_masks,
+)
 from .matroid import (
     Matroid,
     Pattern,
@@ -209,15 +218,6 @@ def _scan(nbits: int, forbid, require=()) -> Iterator[tuple]:
         if require:
             mark(hits, require_plan, c)
         yield c, words, hits
-
-
-def _members(n: int, forbid) -> Iterator[int]:
-    """The one-masks of the dim-n tables on which no forbid constraint
-    holds, in ascending order."""
-    for c, good, _ in _scan((1 << n) - 1, _substitute(forbid, 0, 0)):
-        bits = np.unpackbits(good.astype("<u8").view(np.uint8), bitorder="little")
-        base = c * 64 * len(good)
-        yield from (base + t for t in np.flatnonzero(bits).tolist())
 
 
 def _check_free_bits(free: int) -> None:
@@ -585,14 +585,49 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
 
 # --- diagnostics -----------------------------------------------------------------
 
-def isomorphism_class_census(P: LocalProperty, n: int) -> int:
-    """Number of isomorphism classes among the dim-n members (diagnostic;
-    much slower than the labeled census)."""
-    from .matroid import canonical_form
+def _cycle_bits(perm: list[int]) -> tuple[list[int], int]:
+    """For the permutation p -> perm[p] of the points 1..len(perm) - 1:
+    bit[p] = 1 << (the index of p's cycle), cycles numbered in the order of
+    their least points, and the number of cycles."""
+    bit = [0] * len(perm)
+    k = 0
+    for p in range(1, len(perm)):
+        if not bit[p]:
+            q = p
+            while not bit[q]:
+                bit[q] = 1 << k
+                q = perm[q]
+            k += 1
+    return bit, k
 
-    if n > 4:
-        raise BudgetExceeded("isomorphism-class census is capped at dim 4")
-    classes = set()
-    for t in _members(n, _merged_constraints(P, n)):
-        classes.add(canonical_form(Matroid(n, t)).table)
-    return len(classes)
+
+def isomorphism_class_census(P: LocalProperty, n: int) -> int:
+    """Number of isomorphism classes (GL(n,2)-orbits) among the dim-n
+    members, exact.
+
+    Burnside's lemma over the conjugacy classes C of GL(n,2): the number
+    is (1/|GL(n,2)|) * sum_C |C| * |Fix(g_C)|.  A table is fixed by g iff
+    it is constant on each cycle of g on the points, so |Fix(g)| is one
+    engine sweep with one table bit per cycle, each constraint mapped onto
+    the cycles (the identity's term is the labeled census).  Raises
+    BudgetExceeded for n > CENSUS_MAX_DIM before building any constraint.
+    """
+    if n > CENSUS_MAX_DIM:
+        raise BudgetExceeded(f"isomorphism-class census is capped at dim {CENSUS_MAX_DIM}")
+    constraints = _merged_constraints(P, n)
+    total = 0
+    for columns, size in _gl_conjugacy_classes(n):
+        bit, cycles = _cycle_bits(span_table(columns))
+
+        def on_cycles(mask: int) -> int:
+            out = 0
+            for p in _mask_points(mask):
+                out |= bit[p]
+            return out
+
+        forbid = _substitute([(on_cycles(oq), on_cycles(zq)) for oq, zq in constraints], 0, 0)
+        fixed = sum(int(np.bitwise_count(good).sum()) for _, good, _ in _scan(cycles, forbid))
+        total += size * fixed
+    order = count_linear_injections(n, n)
+    assert total % order == 0, f"Burnside sum {total} is not a multiple of |GL({n},2)| = {order}"
+    return total // order

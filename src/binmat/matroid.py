@@ -23,6 +23,7 @@ from .gf2 import (
     LinearInjections,
     LinearMap,
     Subspace,
+    _mask_points,
     count_linear_injections,
     enumerate_subspaces,
     random_linear_injection,
@@ -577,13 +578,7 @@ def vanishing_pattern(k: int, d: int) -> Pattern:
 
 def is_k_affine(A: Pattern, k: int) -> bool:
     """True iff A's star set (plus 0) is a subspace of codimension exactly k."""
-    star_mask = A.stars
-    pts = []
-    m = star_mask
-    while m:
-        low = m & -m
-        m ^= low
-        pts.append(low.bit_length())
+    pts = _mask_points(A.stars)
     r = rank(pts)
     if len(pts) != (1 << r) - 1:
         return False
@@ -592,12 +587,7 @@ def is_k_affine(A: Pattern, k: int) -> bool:
 
 def evaluations(B: Pattern) -> Iterator[Matroid]:
     """All matroids obtained by filling B's '*' cells with bits."""
-    star_positions = []
-    m = B.stars
-    while m:
-        low = m & -m
-        m ^= low
-        star_positions.append(low.bit_length() - 1)
+    star_positions = [p - 1 for p in _mask_points(B.stars)]
     if len(star_positions) > EVALUATION_STAR_CAP:
         raise BudgetExceeded(
             f"{len(star_positions)} star cells exceed the evaluation cap "

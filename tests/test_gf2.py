@@ -13,6 +13,7 @@ from binmat.gf2 import (
     LinearInjections,
     LinearMap,
     Subspace,
+    _gl_conjugacy_classes,
     count_linear_injections,
     enumerate_points,
     enumerate_subspaces,
@@ -341,3 +342,37 @@ def test_packing_deterministic():
     a = rooted_subspace_packing(U, W, 5)
     b = rooted_subspace_packing(U, W, 5)
     assert a == b
+
+
+# --- conjugacy classes of GL(n, 2) -------------------------------------------------
+
+@pytest.mark.parametrize("n,classes,order", [
+    (0, 1, 1), (1, 1, 1), (2, 3, 6), (3, 6, 168), (4, 14, 20160), (5, 27, 9_999_360)])
+def test_gl_conjugacy_class_counts(n, classes, order):
+    reps = _gl_conjugacy_classes(n)
+    assert len(reps) == classes
+    assert sum(size for _, size in reps) == order
+    for cols, _ in reps:
+        assert len(cols) == n and rank(cols) == n
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_gl_conjugacy_classes_match_brute_force_orbits(n):
+    """Conjugate each representative by every element of GL(n, 2): each
+    orbit has the formula's size, and the orbits partition the group."""
+    group = []  # (table of h, table of h^-1), tables indexed by vector
+    for images in LinearInjections(n, n).image_tuples():
+        h = span_table(images)
+        inv = [0] * len(h)
+        for x, y in enumerate(h):
+            inv[y] = x
+        group.append((h, inv))
+    basis = [1 << i for i in range(n)]
+    seen = set()
+    for cols, size in _gl_conjugacy_classes(n):
+        g = span_table(cols)
+        orbit = {tuple(h[g[inv[e]]] for e in basis) for h, inv in group}
+        assert len(orbit) == size
+        assert not orbit & seen
+        seen |= orbit
+    assert len(seen) == len(group) == count_linear_injections(n, n)

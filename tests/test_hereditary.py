@@ -11,7 +11,6 @@ from binmat.errors import BudgetExceeded
 from binmat.gf2 import Subspace, random_linear_injection
 from binmat.hereditary import (
     LocalProperty,
-    _members,
     census,
     contains,
     core_membership,
@@ -33,6 +32,7 @@ from binmat.matroid import (
     STAR,
     builtin_pattern,
     builtin_pattern as bp,
+    canonical_form,
     critical_number,
     find_instance,
     restrict,
@@ -170,16 +170,6 @@ def test_count_members_matches_oracle(n, data, mid):
     assert got == (len(members), hold)
 
 
-@pytest.mark.parametrize("n", range(5))
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), mid=mid_bits)
-def test_members_match_oracle(n, data, mid):
-    forbid = data.draw(constraint_lists(n))
-    members, _ = oracle_members(n, forbid)
-    with mock.patch.object(hereditary, "MID_BITS", mid):
-        assert list(_members(n, forbid)) == members
-
-
 def test_count_members_edge_constraints():
     # the pins (point 1 = 1, point 2 = 0) contradict the forbid constraint,
     # which is dropped; the empty constraint leaves no member at all; a
@@ -189,13 +179,6 @@ def test_count_members_edge_constraints():
     assert count_members(4, ((0, 0),)) == (0, 0)
     assert count_members(4, ((0, 0),), fixed_points=15, fixed_ones=5) == (0, 0)
     assert count_members(4, ((1 << 7, 1 << 7),), ((1 << 7, 1 << 7),)) == (1 << 15, 0)
-
-
-def test_members_frozen_forb_o2():
-    P = forb(O2)
-    naive = [t for t in range(1 << 7) if contains(P, Matroid(3, t))]
-    assert list(_members(3, instance_constraints(O2, 3))) == naive
-    assert len(naive) == FORB_O2_COUNTS[3]
 
 
 def test_count_members_free_bit_cap():
@@ -296,6 +279,71 @@ def test_isomorphism_class_census_small():
     # 4 weights = 4 classes for the empty property
     assert isomorphism_class_census(forb(), 2) == 4
     assert isomorphism_class_census(forb(O2), 2) == 3  # all-zero table excluded
+
+
+def oracle_class_census(P: LocalProperty, n: int) -> int:
+    """Canonicalize every member found by brute force; count distinct forms."""
+    members, _ = oracle_members(n, hereditary._merged_constraints(P, n))
+    return len({canonical_form(Matroid(n, t)).table for t in members})
+
+
+# isomorphism classes at n = 1..4; oracle_class_census reproduces every
+# entry, but the n=4 ones of Forb(ones:3) and Forb() cost it tens of
+# seconds, so only Forb(O2) runs it live at n=4
+ISO_CLASSES = {"O2": (2, 3, 5, 11), "ones:3": (2, 4, 9, 36), "": (2, 4, 10, 46)}
+
+
+def _forb_named(name):
+    return forb(bp(name)) if name else forb()
+
+
+def test_isomorphism_class_census_frozen():
+    for name, counts in ISO_CLASSES.items():
+        P = _forb_named(name)
+        assert isomorphism_class_census(P, 0) == 1  # the empty table
+        assert [isomorphism_class_census(P, n) for n in (1, 2, 3, 4)] == list(counts)
+
+
+@pytest.mark.parametrize(
+    "name,n", [(name, n) for name in ISO_CLASSES for n in (1, 2, 3)] + [("O2", 4)])
+def test_isomorphism_class_census_matches_oracle(name, n):
+    P = _forb_named(name)
+    assert isomorphism_class_census(P, n) == oracle_class_census(P, n)
+
+
+def patterns(max_dim):
+    return st.integers(0, max_dim).flatmap(lambda d: st.lists(
+        st.sampled_from([0, 1, STAR]), min_size=(1 << d) - 1, max_size=(1 << d) - 1,
+    ).map(Pattern.from_values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pats=st.lists(patterns(2), min_size=1, max_size=2), n=st.integers(0, 3))
+def test_isomorphism_class_census_differential(pats, n):
+    P = forb(*pats)
+    assert isomorphism_class_census(P, n) == oracle_class_census(P, n)
+
+
+def test_isomorphism_class_census_drops_split_cycles():
+    # no two points may differ, so only the two constant tables are members;
+    # at n=4 a cycle that holds a one and a zero of a constraint also falls
+    # on the sweep's strided bits (6 and up), and that constraint must go
+    P = forb(Pattern.from_values([1, 0, STAR]))
+    for n in (2, 3, 4):
+        assert isomorphism_class_census(P, n) == oracle_class_census(P, n) == 2
+
+
+def test_isomorphism_class_census_n5_by_hand():
+    # no two points may both be zero: the 32 members are the all-ones table
+    # and the 31 tables with one zero, which GL(5,2) permutes transitively
+    assert isomorphism_class_census(forb(bp("BB:1:2")), 5) == 2
+
+
+def test_isomorphism_class_census_cap():
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError), \
+            mock.patch.object(hereditary, "_gl_conjugacy_classes", side_effect=AssertionError):
+        with pytest.raises(BudgetExceeded, match="capped at dim 5"):
+            isomorphism_class_census(forb(O2), 6)
 
 
 # --- property critical number --------------------------------------------------------
