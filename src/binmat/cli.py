@@ -266,8 +266,8 @@ def _cmd_ramsey(args):
 
 def _cmd_pack(args):
     n, du, dw = int(args.n), args.d, args.k
-    if not du <= dw <= n:
-        raise ValueError("need dim(U) <= dim(W) <= dim(V)")
+    if not 0 <= du <= dw <= n:
+        raise ValueError("need 0 <= dim(U) <= dim(W) <= dim(V)")
     U = Subspace.from_vectors(n, [1 << i for i in range(du)])
     W = Subspace.from_vectors(n, [1 << i for i in range(dw)])
     fam = rooted_subspace_packing(U, W, n)

@@ -15,6 +15,12 @@ Conventions used throughout the package:
   points in a point mask, for searches that grow a span level by level.
   subspace_point_masks() walks the same echelon shapes as
   enumerate_subspaces() but yields point masks, not Subspace objects.
+* rooted_subspace_packing() does not sweep those masks: it walks the same
+  echelon tree depth first, grows each prefix's span with span_step and
+  prunes a prefix once its span meets a blocked point (of W or of a chosen
+  member, outside U).  A span only grows along a path, so the walk skips
+  only candidates the greedy sweep in order would reject, and chooses the
+  same members.
 * The conjugacy classes of GL(n, 2) come from rational canonical forms,
   with class sizes from centralizer orders (Kung 1981; Macdonald,
   Symmetric Functions and Hall Polynomials, ch. IV), for orbit counting.
@@ -274,11 +280,18 @@ def _echelon_bases(n: int, d: int) -> Iterator[tuple[int, ...]]:
     if d < 0 or d > n:
         raise ValueError(f"subspace dimension must be in [0, {n}], got {d}")
     for pivots in itertools.combinations(range(n), d):
-        rows = []
-        for p in pivots:
-            free = [1 << q for q in range(p + 1, n) if q not in pivots]
-            rows.append([c | 1 << p for c in span_table(free)])
-        yield from itertools.product(*rows)
+        yield from itertools.product(*_echelon_rows(n, pivots))
+
+
+def _echelon_rows(n: int, pivots: tuple[int, ...]) -> list[list[int]]:
+    """For each pivot p, the echelon rows with pivot p: bit p plus every
+    subset of the free cells (positions above p that are not pivots), in
+    counting order."""
+    rows = []
+    for p in pivots:
+        free = [1 << q for q in range(p + 1, n) if q not in pivots]
+        rows.append([c | 1 << p for c in span_table(free)])
+    return rows
 
 
 def enumerate_subspaces(n: int, d: int) -> Iterator[Subspace]:
@@ -575,8 +588,18 @@ def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspa
 
     Given nested U <= W <= F_2^{V_dim}, returns U_1, ..., U_m with
     dim(U_i) = d := V_dim - dim(W) + dim(U), U_i meet W = U, and pairwise
-    U_i meet U_j = U.  Greedy over the canonical subspace order (ties broken
-    by enumeration order, so the output is reproducible).
+    U_i meet U_j = U.  Greedy over the canonical subspace order of
+    enumerate_subspaces(V_dim, d), so the output is reproducible.
+
+    The candidates are not swept one by one: a depth-first walk of the
+    echelon tree (pivot combinations in order, then one row per level, the
+    last row fastest) grows each prefix's span with span_step and prunes the
+    prefix as soon as its span meets blocked, the points of W and of the
+    chosen members outside U.  A span only grows along a path, so a pruned
+    prefix has no admissible completion.  A leaf X that is not pruned meets W
+    inside U, and dim(X meet W) >= d + dim(W) - V_dim = dim(U), so X meets W
+    exactly in U: it is chosen, and its points join blocked.  The walk
+    therefore picks what the sweep in order would pick.
 
     Maximality gives m >= 2^(V_dim - 2d) when the nesting is strict
     (U < W < F_2^{V_dim}); that bound is asserted.  With U = W or
@@ -592,12 +615,25 @@ def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspa
         raise BudgetExceeded(f"subspace enumeration capped at ambient dim 8, got {V_dim}")
     d = V_dim - W.dim + U.dim
     u_mask = U.point_mask
-    w_mask = W.point_mask
-    masks: list[int] = []
-    for xm in subspace_point_masks(V_dim, d):
-        if xm & w_mask == u_mask and all(xm & fm == u_mask for fm in masks):
-            masks.append(xm)
-    family = [Subspace.from_vectors(V_dim, _mask_points(xm)) for xm in masks]
+    blocked = W.point_mask & ~u_mask
+    family: list[Subspace] = []
+    basis = [0] * d
+    table = [0]  # span table of basis[:level], grown by span_step
+
+    def walk(rows: list[list[int]], level: int, mask: int) -> None:
+        nonlocal blocked
+        if level == d:
+            family.append(Subspace(V_dim, tuple(basis)))
+            blocked |= mask & ~u_mask
+            return
+        for row in rows[level]:
+            grown = span_step(table, level, row, mask)
+            if not grown & blocked:
+                basis[level] = row
+                walk(rows, level + 1, grown)
+
+    for pivots in itertools.combinations(range(V_dim), d):
+        walk(_echelon_rows(V_dim, pivots), 0, 0)
     m = len(family)
     bound = 2 ** (V_dim - 2 * d) if V_dim >= 2 * d else 0
     if U.dim < W.dim < V_dim:

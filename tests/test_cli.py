@@ -261,6 +261,12 @@ def test_exit_code_dimension_past_table_cap(capsys):
     assert "Traceback" not in err
 
 
+def test_exit_code_pack_negative_dim(capsys):
+    code, out, err = run(capsys, "pack", "--n", "8", "--d", "-1", "--k", "4")
+    assert code == 1 and out == ""
+    assert "need 0 <= dim(U) <= dim(W) <= dim(V)" in err
+
+
 def test_exit_code_bad_flag(capsys):
     code, out, err = run(capsys, "census", "--n")
     assert code == 1 and out == ""

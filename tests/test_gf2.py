@@ -336,6 +336,51 @@ def test_packing_frozen_n8():
     assert digest == "af829ed576dfb292932b8e7ba2f1d206f6420c0456a987a726ed018da851c81a"
 
 
+@pytest.mark.parametrize("du,dw,m,digest", [
+    (1, 5, 12, "46c7a21a5f23084e7ae93ea757ff7040a0d521599f56912647986d73accf22ea"),
+    (2, 6, 16, "743f55453ecb5133809db3f393efb1108986dcd585a4febc03e3300b73213b10"),
+])
+def test_packing_frozen_n8_coordinate_shapes(du, dw, m, digest):
+    # recorded from the full sweep over subspace_point_masks(8, 4)
+    U = Subspace.from_vectors(8, [1 << i for i in range(du)])
+    W = Subspace.from_vectors(8, [1 << i for i in range(dw)])
+    fam = rooted_subspace_packing(U, W, 8)
+    assert len(fam) == m
+    assert hashlib.sha256(repr([S.basis for S in fam]).encode()).hexdigest() == digest
+
+
+def oracle_rooted_packing(U, W, V_dim):
+    """The greedy packing as a sweep: every candidate's point mask in the
+    canonical order, kept when it meets W and every kept mask exactly in U."""
+    d = V_dim - W.dim + U.dim
+    u_mask, w_mask = U.point_mask, W.point_mask
+    masks = []
+    for xm in subspace_point_masks(V_dim, d):
+        if xm & w_mask == u_mask and all(xm & fm == u_mask for fm in masks):
+            masks.append(xm)
+    return [Subspace.from_vectors(V_dim, [p for p in range(1, 1 << V_dim) if xm >> (p - 1) & 1])
+            for xm in masks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n), st.integers(0, n), st.integers(0, 2**32))))
+def test_packing_matches_oracle_random_nested(args):
+    n, a, b, seed = args
+    du, dw = min(a, b), max(a, b)
+    phi = random_linear_injection(n, n, random.Random(seed))
+    U = Subspace.from_vectors(n, phi.images[:du])
+    W = Subspace.from_vectors(n, phi.images[:dw])
+    assert rooted_subspace_packing(U, W, n) == oracle_rooted_packing(U, W, n)
+
+
+@pytest.mark.parametrize("du,dw", [(du, dw) for dw in range(8) for du in range(dw + 1)])
+def test_packing_matches_oracle_coordinate_n7(du, dw):
+    U = Subspace.from_vectors(7, [1 << i for i in range(du)])
+    W = Subspace.from_vectors(7, [1 << i for i in range(dw)])
+    assert rooted_subspace_packing(U, W, 7) == oracle_rooted_packing(U, W, 7)
+
+
 def test_packing_deterministic():
     U = Subspace.zero(5)
     W = Subspace.from_vectors(5, [1, 2])
