@@ -291,9 +291,8 @@ def _cmd_core(args):
     if args.samples is None:
         return {"in_core": core_membership(M, P, args.k)}, None, None
     refuted = core_membership_refute(M, P, args.k, args.samples, seed=args.seed)
-    verdict = False if refuted is False else None
     return (
-        {"in_core": verdict, "samples": args.samples, "seed": args.seed},
+        {"in_core": refuted, "samples": args.samples, "seed": args.seed},
         None,
         None,
     )

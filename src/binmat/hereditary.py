@@ -14,10 +14,11 @@ constraint marks a precomputed word mask; the next MID_BITS table bits
 index a strided (2,)*MID_BITS view of a chunk of words, and the remaining
 high bits pick the chunk.  A constraint is OR-ed into the chunk only when
 its high bits agree with the chunk's, and np.bitwise_count counts the
-tables left unmarked.  Pinned points (free-extension counting) are
-substituted into the constraints before the sweep, which then runs over
-the free points only.  The isomorphism-class census runs the same sweep
-once per conjugacy class of GL(n,2), with one table bit per cycle.
+tables left unmarked.  Pinned points (free-extension counting, Core
+membership) are substituted into the constraints before the sweep, which
+then runs over the free points only.  The isomorphism-class census runs
+the same sweep once per conjugacy class of GL(n,2), with one table bit per
+cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -47,7 +48,6 @@ from .matroid import (
     _coerce_pattern,
     bose_burton,
     critical_number,
-    extensions,
     find_instance,
     restrict,
     sample_extension,
@@ -274,18 +274,22 @@ def _flat_requires(n: int, flat_dim: int, side: int) -> tuple:
     return tuple((0, mask) if side == 0 else (mask, 0) for mask in masks)
 
 
+def _check_structure_args(n: int, k: int, side: int) -> None:
+    if n > CENSUS_MAX_DIM:
+        raise BudgetExceeded(f"exact counting is capped at dim {CENSUS_MAX_DIM}")
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if side not in (0, 1):
+        raise ValueError("side must be 0 or 1")
+
+
 def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
     """|{dim-n matroids with an all-`side` subspace of codimension <= k}|.
 
     Side 0 is the critical-number family (critical_number <= k); side 1 is
     its complement-symmetric image.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if n > CENSUS_MAX_DIM:
-        raise BudgetExceeded(f"exact counting is capped at dim {CENSUS_MAX_DIM}")
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
+    _check_structure_args(n, k, side)
     _, hold = count_members(n, (), _flat_requires(n, n - k, side))
     return hold
 
@@ -293,12 +297,7 @@ def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
 def typical_structure_fraction(P: LocalProperty, n: int, k: int, side: int = 0) -> Fraction:
     """Fraction of dim-n members of P with an all-`side` subspace of
     codimension <= k, as an exact rational."""
-    if n > CENSUS_MAX_DIM:
-        raise BudgetExceeded(f"exact census is capped at dim {CENSUS_MAX_DIM}")
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
+    _check_structure_args(n, k, side)
     forbid = _merged_constraints(P, n)
     total, hold = count_members(n, forbid, _flat_requires(n, n - k, side))
     if total == 0:
@@ -370,17 +369,34 @@ def property_critical_number(P: LocalProperty) -> int:
 
 # --- Core membership -----------------------------------------------------------
 
+def _count_pinned_extensions(M: Matroid, n: int, constraints) -> tuple[int, int]:
+    """(members, 2^free) among the dim-n extensions of M: one pinned sweep
+    over the free points.  constraints(n) builds the forbid constraints; it is
+    called only once the free points pass the engine's cap of
+    2^CENSUS_MAX_DIM - 1, so an oversized n raises BudgetExceeded first."""
+    pinned = (1 << M.dim) - 1
+    free = ((1 << n) - 1) - pinned
+    _check_free_bits(free)
+    count, _ = count_members(n, constraints(n), fixed_points=pinned, fixed_ones=M.table)
+    return count, 1 << free
+
+
 def core_membership(M: Matroid, P: LocalProperty, k: int) -> bool:
     """True iff every dim+k extension of M belongs to P (hence all of
-    Ext^k(M), since P is hereditary)."""
-    return all(contains(P, E) for E in extensions(M, k, exact_dim=True))
+    Ext^k(M), since P is hereditary): the pinned count of the members among
+    them is all 2^free of them.  Raises BudgetExceeded, before building any
+    constraint, when more than 2^CENSUS_MAX_DIM - 1 cells are free."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    count, total = _count_pinned_extensions(M, M.dim + k, partial(_merged_constraints, P))
+    return count == total
 
 
 def core_membership_refute(
     M: Matroid, P: LocalProperty, k: int, samples: int, seed=0
 ) -> Optional[bool]:
     """Monte-Carlo refutation: False if a sampled extension leaves P,
-    None (unknown) otherwise.  For use past the enumeration cap."""
+    None (unknown) otherwise.  For use past the engine's cap."""
     if samples <= 0:
         raise ValueError("need samples > 0")
     rng = random.Random(seed)
@@ -553,11 +569,7 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
     NpP = _coerce_pattern(Np)
     d = NpP.dim
     k = n - m
-    free = ((1 << n) - 1) - ((1 << m) - 1)
-    _check_free_bits(free)  # before building constraints for a large n
-    cons = instance_constraints(NpP, n)
-    count, _ = count_members(n, cons, fixed_points=(1 << m) - 1, fixed_ones=M.table)
-    total = 1 << free
+    count, total = _count_pinned_extensions(M, n, partial(instance_constraints, NpP))
     applicable = 1 <= k <= d <= n
     if applicable:
         base_space = Subspace(d, tuple(1 << i for i in range(d - k)))

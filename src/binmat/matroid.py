@@ -49,7 +49,6 @@ __all__ = [
     "is_k_affine",
     "evaluations",
     "critical_number",
-    "extensions",
     "ext_membership",
     "sample_matroid",
     "sample_extension",
@@ -59,7 +58,6 @@ __all__ = [
 
 STAR = "*"
 
-EXTENSION_FREE_CELL_CAP = 25
 EVALUATION_STAR_CAP = 20
 TABLE_MAX_DIM = 20  # the largest dimension any routine handles (factor partitions)
 
@@ -646,26 +644,6 @@ def critical_number(M: Matroid) -> int:
 
 
 # --- extension operators ----------------------------------------------------
-
-def extensions(M: Matroid, k: int, exact_dim: bool = True) -> Iterator[Matroid]:
-    """All matroids of dimension dim+k (or <=, per flag) restricting to M on
-    the canonical first-coordinates subspace."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    n = M.dim
-    free = (1 << (n + k)) - (1 << n)  # budget first: n + k may pass TABLE_MAX_DIM
-    if free > EXTENSION_FREE_CELL_CAP:
-        raise BudgetExceeded(
-            f"{free} free cells exceed the enumeration cap "
-            f"({EXTENSION_FREE_CELL_CAP}); use sample_extension"
-        )
-    js = range(k, k + 1) if exact_dim else range(k + 1)
-    for j in js:
-        shift = _npts(n)
-        width = _npts(n + j) - shift
-        for bits in range(1 << width):
-            yield Matroid(n + j, M.table | (bits << shift))
-
 
 def ext_membership(Mp: Matroid, M: Matroid, k: int) -> bool:
     """True iff M is (isomorphic to) a restriction of Mp to a subspace of

@@ -146,6 +146,18 @@ def test_core_membership(capsys, tmp_path):
     assert art2["result"]["in_core"] is False
 
 
+def test_core_membership_engine_sized(capsys):
+    # 2^24 extensions, one pinned engine sweep
+    art = run_json(capsys, "core", "--input", "zeros:3", "--forbid", "ones3", "--k", "2")
+    assert art["result"]["in_core"] is True
+
+
+def test_exit_code_core_negative_k(capsys):
+    code, out, err = run(capsys, "core", "--input", "zeros:3", "--forbid", "ones3", "--k", "-1")
+    assert code == 1 and out == ""
+    assert "k must be nonnegative" in err
+
+
 def test_ext_count(capsys, tmp_path):
     path = tmp_path / "pt.mat"
     path.write_text(Matroid.from_values([1]).to_text())

@@ -385,6 +385,41 @@ def test_core_membership_examples():
     assert not core_membership(Matroid.from_values([0]), P, 1)
 
 
+def oracle_core_membership(M: Matroid, P: LocalProperty, k: int) -> bool:
+    """Enumerate every dim+k extension of M and test each with contains."""
+    shift = M.n_points
+    width = (1 << (M.dim + k)) - 1 - shift
+    return all(
+        contains(P, Matroid(M.dim + k, M.table | (bits << shift)))
+        for bits in range(1 << width)
+    )
+
+
+# (dim M, k) with at most 12 free cells, k = 0 included
+CORE_SHAPES = [(m, k) for m in range(4) for k in range(4) if (1 << m) * ((1 << k) - 1) <= 12]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), pats=st.lists(patterns(2), min_size=1, max_size=2))
+def test_core_membership_differential(data, pats):
+    m, k = data.draw(st.sampled_from(CORE_SHAPES))
+    M = Matroid(m, data.draw(st.integers(0, (1 << ((1 << m) - 1)) - 1)))
+    P = forb(*pats)
+    assert core_membership(M, P, k) == oracle_core_membership(M, P, k)
+
+
+def test_core_membership_at_engine_cap():
+    # dim 0, k = 5: all 31 cells free, the largest sweep the engine takes
+    assert not core_membership(Matroid(0, 0), forb(ONES3), 5)
+
+
+def test_core_membership_cap():
+    # dim 1, k = 5: 62 free cells, refused before any constraint is built
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError):
+        with pytest.raises(BudgetExceeded, match="62 free table bits exceed the exact-count cap of 31"):
+            core_membership(Matroid.constant(1, 1), forb(O2), 5)
+
+
 def test_core_membership_refute():
     P = forb(O2)
     assert core_membership_refute(Matroid.from_values([0]), P, 1, 64, seed=0) is False

@@ -24,7 +24,6 @@ from binmat.matroid import (
     density_in_function,
     evaluations,
     ext_membership,
-    extensions,
     find_instance,
     is_isomorphic,
     is_k_affine,
@@ -381,25 +380,16 @@ def test_critical_number_brute_force_dim4():
 
 # --- extensions -------------------------------------------------------------------
 
-def test_extensions_counts():
-    M = Matroid.from_values([1])
-    exts1 = list(extensions(M, 1))
-    assert len(exts1) == 4
-    assert all(E.dim == 2 and E(1) == 1 for E in exts1)
-    M2 = Matroid.from_values([1, 0, 1])
-    assert len(list(extensions(M2, 1))) == 16
-
-
-def test_extensions_cap():
-    with pytest.raises(BudgetExceeded):
-        list(extensions(Matroid.constant(1, 1), 4))
-    with pytest.raises(BudgetExceeded):  # a budget refusal, not the table dimension cap
-        list(extensions(Matroid.constant(1, 1), 25))
+def dim_k_extensions(M, k):
+    """Every dim+k table that agrees with M on its first 2^dim - 1 points."""
+    shift = M.n_points
+    width = (1 << (M.dim + k)) - 1 - shift
+    return [Matroid(M.dim + k, M.table | (bits << shift)) for bits in range(1 << width)]
 
 
 def test_ext_membership():
     M = Matroid.from_values([1])
-    for E in extensions(M, 1):
+    for E in dim_k_extensions(M, 1):
         assert ext_membership(E, M, 1)
     assert not ext_membership(Matroid.constant(2, 0), M, 1)
     assert not ext_membership(Matroid.constant(3, 1), M, 1)  # wrong dimension
@@ -408,7 +398,7 @@ def test_ext_membership():
 def test_ext_membership_uses_isomorphism():
     # extension restricted along a non-coordinate subspace still counts
     M = Matroid.from_values([1, 0, 0])
-    E = next(iter(extensions(M, 1)))
+    E = dim_k_extensions(M, 1)[0]
     phi = random_linear_injection(3, 3, random.Random(2))
     E2 = apply_invertible(E, phi)
     assert ext_membership(E2, M, 1)
