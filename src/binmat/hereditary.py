@@ -16,9 +16,9 @@ high bits pick the chunk.  A constraint is OR-ed into the chunk only when
 its high bits agree with the chunk's, and np.bitwise_count counts the
 tables left unmarked.  Pinned points (free-extension counting, Core
 membership) are substituted into the constraints before the sweep, which
-then runs over the free points only.  The isomorphism-class census runs
-the same sweep once per conjugacy class of GL(n,2), with one table bit per
-cycle.
+then runs over the free points only; with none free, the one table is
+searched directly.  The isomorphism-class census runs the same sweep once
+per conjugacy class of GL(n,2), with one table bit per cycle.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -141,9 +141,9 @@ def instance_constraints(N: Pattern, n: int) -> tuple:
     return tuple(sorted(seen))
 
 
-def _merged_constraints(P: LocalProperty, n: int) -> tuple:
+def _merged_constraints(patterns: Sequence[Pattern], n: int) -> tuple:
     seen = set()
-    for N in P.forbidden:
+    for N in patterns:
         seen.update(instance_constraints(N, n))
     return tuple(sorted(seen))
 
@@ -263,7 +263,7 @@ def census(P: LocalProperty, n: int) -> CensusRow:
             f"exact census is capped at dim {CENSUS_MAX_DIM}; estimate by "
             f"sampling (sample_matroid + contains) instead"
         )
-    total, _ = count_members(n, _merged_constraints(P, n))
+    total, _ = count_members(n, _merged_constraints(P.forbidden, n))
     return CensusRow(n, total)
 
 
@@ -298,7 +298,7 @@ def typical_structure_fraction(P: LocalProperty, n: int, k: int, side: int = 0) 
     """Fraction of dim-n members of P with an all-`side` subspace of
     codimension <= k, as an exact rational."""
     _check_structure_args(n, k, side)
-    forbid = _merged_constraints(P, n)
+    forbid = _merged_constraints(P.forbidden, n)
     total, hold = count_members(n, forbid, _flat_requires(n, n - k, side))
     if total == 0:
         raise ValueError(f"property has no members at dim {n}; fraction undefined")
@@ -369,15 +369,20 @@ def property_critical_number(P: LocalProperty) -> int:
 
 # --- Core membership -----------------------------------------------------------
 
-def _count_pinned_extensions(M: Matroid, n: int, constraints) -> tuple[int, int]:
-    """(members, 2^free) among the dim-n extensions of M: one pinned sweep
-    over the free points.  constraints(n) builds the forbid constraints; it is
-    called only once the free points pass the engine's cap of
+def _count_pinned_extensions(M: Matroid, n: int, patterns: Sequence[Pattern]) -> tuple[int, int]:
+    """(members, 2^free) among the dim-n extensions of M that avoid every
+    pattern.  With no free cell the one extension is M, searched directly
+    (building the constraints would walk every injection into dim M);
+    otherwise one pinned sweep over the free points, whose constraints are
+    built only once the free points pass the engine's cap of
     2^CENSUS_MAX_DIM - 1, so an oversized n raises BudgetExceeded first."""
     pinned = (1 << M.dim) - 1
     free = ((1 << n) - 1) - pinned
+    if free == 0:
+        return int(all(find_instance(N, M) is None for N in patterns)), 1
     _check_free_bits(free)
-    count, _ = count_members(n, constraints(n), fixed_points=pinned, fixed_ones=M.table)
+    forbid = _merged_constraints(patterns, n)
+    count, _ = count_members(n, forbid, fixed_points=pinned, fixed_ones=M.table)
     return count, 1 << free
 
 
@@ -388,7 +393,7 @@ def core_membership(M: Matroid, P: LocalProperty, k: int) -> bool:
     constraint, when more than 2^CENSUS_MAX_DIM - 1 cells are free."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    count, total = _count_pinned_extensions(M, M.dim + k, partial(_merged_constraints, P))
+    count, total = _count_pinned_extensions(M, M.dim + k, P.forbidden)
     return count == total
 
 
@@ -569,7 +574,7 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
     NpP = _coerce_pattern(Np)
     d = NpP.dim
     k = n - m
-    count, total = _count_pinned_extensions(M, n, partial(instance_constraints, NpP))
+    count, total = _count_pinned_extensions(M, n, (NpP,))
     applicable = 1 <= k <= d <= n
     if applicable:
         base_space = Subspace(d, tuple(1 << i for i in range(d - k)))
@@ -626,7 +631,7 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     """
     if n > CENSUS_MAX_DIM:
         raise BudgetExceeded(f"isomorphism-class census is capped at dim {CENSUS_MAX_DIM}")
-    constraints = _merged_constraints(P, n)
+    constraints = _merged_constraints(P.forbidden, n)
     total = 0
     for columns, size in _gl_conjugacy_classes(n):
         bit, cycles = _cycle_bits(span_table(columns))

@@ -152,6 +152,12 @@ def test_core_membership_engine_sized(capsys):
     assert art["result"]["in_core"] is True
 
 
+def test_core_membership_k0_large_base(capsys):
+    # dim 20, k = 0: the one table is searched, not swept
+    art = run_json(capsys, "core", "--input", "ones:20", "--forbid", "O2", "--k", "0")
+    assert art["result"]["in_core"] is True
+
+
 def test_exit_code_core_negative_k(capsys):
     code, out, err = run(capsys, "core", "--input", "zeros:3", "--forbid", "ones3", "--k", "-1")
     assert code == 1 and out == ""

@@ -283,7 +283,7 @@ def test_isomorphism_class_census_small():
 
 def oracle_class_census(P: LocalProperty, n: int) -> int:
     """Canonicalize every member found by brute force; count distinct forms."""
-    members, _ = oracle_members(n, hereditary._merged_constraints(P, n))
+    members, _ = oracle_members(n, hereditary._merged_constraints(P.forbidden, n))
     return len({canonical_form(Matroid(n, t)).table for t in members})
 
 
@@ -420,6 +420,14 @@ def test_core_membership_cap():
             core_membership(Matroid.constant(1, 1), forb(O2), 5)
 
 
+def test_core_membership_k0_searches_the_base():
+    # no free cell: M itself is searched, no constraint over all injections
+    # into dim 12 is built
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError):
+        assert core_membership(Matroid.constant(12, 1), forb(O2), 0)
+        assert not core_membership(Matroid.constant(12, 0), forb(O2), 0)
+
+
 def test_core_membership_refute():
     P = forb(O2)
     assert core_membership_refute(Matroid.from_values([0]), P, 1, 64, seed=0) is False
@@ -511,6 +519,12 @@ def test_count_free_extensions_fully_pinned_dim6():
     for value, want in ((1, 1), (0, 0)):
         rep = count_free_extensions(Matroid.constant(6, value), 6, O2)
         assert (rep.count, rep.total) == (want, 1)
+
+
+def test_count_free_extensions_fully_pinned_searches_the_base():
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError):
+        rep = count_free_extensions(Matroid.constant(12, 1), 12, O2)
+    assert (rep.count, rep.total) == (1, 1)
 
 
 def test_count_free_extensions_frozen_n5():
