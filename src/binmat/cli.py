@@ -24,6 +24,7 @@ from .errors import BudgetExceeded
 from .fourier import best_factor_search, count_structured, enumerate_structured, function_entropy, polynomial_to_text
 from .gf2 import Subspace, rooted_subspace_packing
 from .hereditary import (
+    _structure_counts,
     census,
     core_membership,
     core_membership_refute,
@@ -31,7 +32,6 @@ from .hereditary import (
     forb,
     property_critical_number,
     ramsey_dimension,
-    typical_structure_fraction,
     verify_ramsey_result,
 )
 from .matroid import (
@@ -325,15 +325,13 @@ def _cmd_o2_check(args):
     lo, hi = _parse_range(args.n)
     rows = []
     for n in range(lo, hi + 1):
-        frac = typical_structure_fraction(P, n, args.k)
-        total = census(P, n).count
-        joint = frac * total
-        assert joint.denominator == 1
+        total, structured = _structure_counts(P, n, args.k)
+        frac = Fraction(structured, total)
         rows.append(
             {
                 "n": n,
                 "k": args.k,
-                "structured_count": str(joint.numerator),
+                "structured_count": str(structured),
                 "member_count": str(total),
                 "fraction": f"{frac.numerator}/{frac.denominator}",
                 "fraction_float": float(frac),

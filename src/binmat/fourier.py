@@ -21,8 +21,8 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BudgetExceeded
-from .gf2 import GF2Vector, span_table
-from .matroid import Matroid, RealFunction
+from .gf2 import GF2Vector, _points_mask, span_table
+from .matroid import TABLE_MAX_DIM, Matroid, RealFunction
 
 __all__ = [
     "TorusValue",
@@ -53,7 +53,6 @@ GOWERS_ROW_OP_BUDGET = 1 << 16  # numpy calls on whole rows of one exhaustive U_
 DEGREE_BFS_BUDGET = 1 << 22
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
-FACTOR_PARTITION_MAX_DIM = 20
 GOWERS_BATCH_CELLS = 1 << 16  # table cells per batched residual Gowers call
 
 
@@ -351,8 +350,8 @@ def factor_partition(
         n = poly_n
     elif n is None:
         raise ValueError("empty factor needs an explicit dimension")
-    if n > FACTOR_PARTITION_MAX_DIM:
-        raise BudgetExceeded(f"factor partition is capped at dim {FACTOR_PARTITION_MAX_DIM}")
+    if n > TABLE_MAX_DIM:
+        raise BudgetExceeded(f"factor partition is capped at dim {TABLE_MAX_DIM}")
     size = 1 << n
     labels = np.zeros((1, size), dtype=np.int64)
     for P in polys:  # own labels keep keys below size^2 whatever the degree
@@ -617,9 +616,7 @@ def enumerate_structured(f: RealFunction) -> list[Matroid]:
         need = int(a * len(pts))
         new_tables = []
         for ones in itertools.combinations(pts, need):
-            add = 0
-            for p in ones:
-                add |= 1 << (p - 1)
+            add = _points_mask(ones)
             new_tables.extend(t | add for t in tables)
         tables = new_tables
     out = [Matroid(f.dim, t) for t in tables]

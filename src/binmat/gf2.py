@@ -25,8 +25,9 @@ Conventions used throughout the package:
   with class sizes from centralizer orders (Kung 1981; Macdonald,
   Symmetric Functions and Hall Polynomials, ch. IV), for orbit counting.
 * Enumeration APIs are exact and require n <= 31 structurally (tables and
-  point masks are built from 2**n - 1 bits).  Practical caps: n <= 8 for
-  subspace enumeration, n <= 6 for exhaustive injection generation.
+  point masks are built from 2**n - 1 bits).  Practical caps: n <=
+  SUBSPACE_ENUM_MAX_DIM (8) for subspace enumeration, n <= 6 for
+  exhaustive injection generation.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceeded
 
@@ -59,6 +60,7 @@ __all__ = [
 ]
 
 MAX_DIM = 31
+SUBSPACE_ENUM_MAX_DIM = 8  # ambient cap of the searches that walk every d-subspace
 
 
 def _check_dim(n: int) -> None:
@@ -104,21 +106,25 @@ def span_step(table: list[int], level: int, v: int, mask: int) -> int:
     set; v must lie outside the span so far."""
     half = 1 << level
     table[half:half << 1] = new = [p ^ v for p in table[:half]]
-    for p in new:
-        mask |= 1 << (p - 1)
-    return mask
+    return mask | _points_mask(new)
 
 
 def _span_mask(vectors: Sequence[int]) -> int:
     """Point mask (bit p-1) of the span of linearly independent vectors."""
+    return _points_mask(span_table(vectors)[1:])
+
+
+def _points_mask(points: Iterable[int]) -> int:
+    """The mask with bit p-1 set for each point p; inverse of _mask_points."""
     mask = 0
-    for p in span_table(vectors)[1:]:
+    for p in points:
         mask |= 1 << (p - 1)
     return mask
 
 
 def _mask_points(mask: int) -> list[int]:
-    """The points p whose bit p-1 is set in mask, ascending."""
+    """The points p whose bit p-1 is set in mask, ascending; inverse of
+    _points_mask."""
     pts = []
     while mask:
         low = mask & -mask
@@ -217,14 +223,6 @@ class Subspace:
                 return False
             v = v.bits
         return self.contains_bits(v)
-
-    def combination(self, coeffs: int) -> int:
-        """Linear combination of basis rows selected by the bits of coeffs."""
-        acc = 0
-        for i, b in enumerate(self.basis):
-            if (coeffs >> i) & 1:
-                acc ^= b
-        return acc
 
     def spanned_points(self) -> list[int]:
         """The nonzero vectors of the subspace, ascending."""
@@ -611,8 +609,10 @@ def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspa
         raise ValueError("U and W must live in F_2^{V_dim}")
     if not U.is_subspace_of(W):
         raise ValueError("inputs must be nested: U <= W")
-    if V_dim > 8:
-        raise BudgetExceeded(f"subspace enumeration capped at ambient dim 8, got {V_dim}")
+    if V_dim > SUBSPACE_ENUM_MAX_DIM:
+        raise BudgetExceeded(
+            f"subspace enumeration capped at ambient dim {SUBSPACE_ENUM_MAX_DIM}, got {V_dim}"
+        )
     d = V_dim - W.dim + U.dim
     u_mask = U.point_mask
     blocked = W.point_mask & ~u_mask

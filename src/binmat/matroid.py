@@ -24,6 +24,7 @@ from .gf2 import (
     LinearMap,
     Subspace,
     _mask_points,
+    _points_mask,
     count_linear_injections,
     enumerate_subspaces,
     random_linear_injection,
@@ -70,8 +71,46 @@ def _npts(dim: int) -> int:
     return (1 << dim) - 1
 
 
-@dataclass(frozen=True)
-class Matroid:
+def _mask_cells(mask: int, n: int) -> str:
+    """The n bits of mask as '0'/'1' characters, bit 0 first, in linear time
+    (the leading 1 keeps the zero high bits, then it is cut off)."""
+    return bin(mask | 1 << n)[3:][::-1]
+
+
+def _cells_mask(cells: str) -> int:
+    """Inverse of _mask_cells on a '0'/'1' string, in linear time."""
+    return int("0" + cells[::-1], 2)
+
+
+class _Table:
+    """What Matroid and Pattern share: a labeling of the n_points points of
+    F_2^dim, rendered from one cell string whose character p-1 is the value
+    of point p."""
+
+    @property
+    def n_points(self) -> int:
+        return _npts(self.dim)
+
+    def __call__(self, x: Union[int, GF2Vector]):
+        if isinstance(x, GF2Vector):
+            if x.ambient_dim != self.dim:
+                raise ValueError("ambient dimension mismatch")
+            x = x.bits
+        return self.value_bits(x)
+
+    def to_text(self) -> str:
+        return f"dim={self.dim}\n{self.cells()}\n"
+
+    def to_json_dict(self) -> dict:
+        kind = type(self).__name__.lower()
+        return {"format": 1, "kind": kind, "dim": self.dim, "table": self.cells()}
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, table={self.cells()!r})"
+
+
+@dataclass(frozen=True, repr=False)
+class Matroid(_Table):
     """Total map from the points of F_2^dim to {0,1}, packed in `table`."""
 
     dim: int
@@ -100,21 +139,10 @@ class Matroid:
             raise ValueError("constant value must be 0 or 1")
         return cls(dim, value * ((1 << _npts(dim)) - 1))
 
-    @property
-    def n_points(self) -> int:
-        return _npts(self.dim)
-
     def value_bits(self, p: int) -> int:
         if not 1 <= p <= self.n_points:
             raise ValueError(f"{p} is not a point of PG({self.dim}-1, 2)")
         return (self.table >> (p - 1)) & 1
-
-    def __call__(self, x: Union[int, GF2Vector]) -> int:
-        if isinstance(x, GF2Vector):
-            if x.ambient_dim != self.dim:
-                raise ValueError("ambient dimension mismatch")
-            x = x.bits
-        return self.value_bits(x)
 
     @property
     def weight(self) -> int:
@@ -134,25 +162,12 @@ class Matroid:
     def to_pattern(self) -> "Pattern":
         return Pattern(self.dim, self.ones_mask, self.zeros_mask)
 
-    def to_text(self) -> str:
-        chars = "".join(str((self.table >> i) & 1) for i in range(self.n_points))
-        return f"dim={self.dim}\n{chars}\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": "matroid",
-            "dim": self.dim,
-            "table": "".join(str((self.table >> i) & 1) for i in range(self.n_points)),
-        }
-
-    def __repr__(self):
-        tbl = "".join(str((self.table >> i) & 1) for i in range(self.n_points))
-        return f"Matroid(dim={self.dim}, table={tbl!r})"
+    def cells(self) -> str:
+        return _mask_cells(self.table, self.n_points)
 
 
-@dataclass(frozen=True)
-class Pattern:
+@dataclass(frozen=True, repr=False)
+class Pattern(_Table):
     """Total map from points to {0, 1, *}; ones/zeros are disjoint bit masks."""
 
     dim: int
@@ -194,10 +209,6 @@ class Pattern:
         raise ValueError("constant value must be 0, 1 or '*'")
 
     @property
-    def n_points(self) -> int:
-        return _npts(self.dim)
-
-    @property
     def stars(self) -> int:
         return ((1 << self.n_points) - 1) ^ (self.ones | self.zeros)
 
@@ -209,13 +220,6 @@ class Pattern:
         if (self.zeros >> (p - 1)) & 1:
             return 0
         return STAR
-
-    def __call__(self, x: Union[int, GF2Vector]):
-        if isinstance(x, GF2Vector):
-            if x.ambient_dim != self.dim:
-                raise ValueError("ambient dimension mismatch")
-            x = x.bits
-        return self.value_bits(x)
 
     @property
     def is_star_free(self) -> bool:
@@ -236,21 +240,13 @@ class Pattern:
     def zeros_only(self) -> "Pattern":
         return Pattern(self.dim, 0, self.zeros)
 
-    def to_text(self) -> str:
-        chars = "".join(str(self.value_bits(p)) for p in range(1, self.n_points + 1))
-        return f"dim={self.dim}\n{chars}\n"
+    def cells(self) -> str:
+        n = self.n_points
+        ones, stars = _mask_cells(self.ones, n), _mask_cells(self.stars, n)
+        return "".join(STAR if s == "1" else c for c, s in zip(ones, stars))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "format": 1,
-            "kind": "pattern",
-            "dim": self.dim,
-            "table": "".join(str(self.value_bits(p)) for p in range(1, self.n_points + 1)),
-        }
 
-    def __repr__(self):
-        tbl = "".join(str(self.value_bits(p)) for p in range(1, self.n_points + 1))
-        return f"Pattern(dim={self.dim}, table={tbl!r})"
+_ZERO_CELLS = str.maketrans("01" + STAR, "100")  # the zero cells as '1'
 
 
 def _parse_table_text(text: str) -> tuple[int, str]:
@@ -273,11 +269,10 @@ def _parse_table_text(text: str) -> tuple[int, str]:
 def load_table(text: str) -> Union[Matroid, Pattern]:
     """Parse the text format; returns a Matroid when the table is star-free."""
     dim, chars = _parse_table_text(text)
-    if STAR in chars:
-        return Pattern.from_values([c if c == STAR else int(c) for c in chars])
-    if dim == 0:
-        return Matroid(0, 0)
-    return Matroid.from_values([int(c) for c in chars])
+    ones = _cells_mask(chars.replace(STAR, "0"))
+    if STAR not in chars:
+        return Matroid(dim, ones)
+    return Pattern(dim, ones, _cells_mask(chars.translate(_ZERO_CELLS)))
 
 
 def load_json_dict(d: dict) -> Union[Matroid, Pattern]:
@@ -304,22 +299,15 @@ def restrict(obj, W: Subspace):
     """Restriction to a subspace, reindexed by W's canonical basis map."""
     if W.ambient_dim != obj.dim:
         raise ValueError("subspace lives in a different ambient space")
-    d = W.dim
     pts = span_table(W.basis)
+
+    def pull_back(mask: int) -> int:
+        return _points_mask(y for y in range(1, len(pts)) if (mask >> (pts[y] - 1)) & 1)
+
     if isinstance(obj, Matroid):
-        table = 0
-        for y in range(1, _npts(d) + 1):
-            table |= obj.value_bits(pts[y]) << (y - 1)
-        return Matroid(d, table)
+        return Matroid(W.dim, pull_back(obj.table))
     if isinstance(obj, Pattern):
-        ones = zeros = 0
-        for y in range(1, _npts(d) + 1):
-            v = obj.value_bits(pts[y])
-            if v == 1:
-                ones |= 1 << (y - 1)
-            elif v == 0:
-                zeros |= 1 << (y - 1)
-        return Pattern(d, ones, zeros)
+        return Pattern(W.dim, pull_back(obj.ones), pull_back(obj.zeros))
     raise TypeError(f"expected Matroid or Pattern, got {type(obj).__name__}")
 
 
@@ -494,7 +482,7 @@ class RealFunction:
 
     @classmethod
     def from_matroid(cls, M: Matroid) -> "RealFunction":
-        return cls(M.dim, tuple((M.table >> i) & 1 for i in range(M.n_points)))
+        return cls(M.dim, tuple(map(int, M.cells())))
 
     @property
     def n_points(self) -> int:
@@ -585,18 +573,15 @@ def is_k_affine(A: Pattern, k: int) -> bool:
 
 def evaluations(B: Pattern) -> Iterator[Matroid]:
     """All matroids obtained by filling B's '*' cells with bits."""
-    star_positions = [p - 1 for p in _mask_points(B.stars)]
-    if len(star_positions) > EVALUATION_STAR_CAP:
+    stars = _mask_points(B.stars)
+    if len(stars) > EVALUATION_STAR_CAP:
         raise BudgetExceeded(
-            f"{len(star_positions)} star cells exceed the evaluation cap "
+            f"{len(stars)} star cells exceed the evaluation cap "
             f"({EVALUATION_STAR_CAP}); sample instead"
         )
-    for bits in range(1 << len(star_positions)):
-        table = B.ones
-        for j, pos in enumerate(star_positions):
-            if (bits >> j) & 1:
-                table |= 1 << pos
-        yield Matroid(B.dim, table)
+    for bits in range(1 << len(stars)):
+        filled = _points_mask(p for j, p in enumerate(stars) if (bits >> j) & 1)
+        yield Matroid(B.dim, B.ones | filled)
 
 
 # --- critical number --------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 import math
+from unittest import mock
 
 import pytest
 
+import binmat.hereditary as hereditary
 from binmat.cli import main
 from binmat.matroid import Matroid
 
@@ -201,6 +203,18 @@ def test_o2_check_row(capsys):
     assert row["member_count"] == "29887"
     assert row["fraction"] == "29719/29887"
     assert 0.994 < row["fraction_float"] < 0.995
+
+
+def test_o2_check_sweeps_once_per_row(capsys):
+    argv = ("o2-check", "--forbid", "ones3", "--n", "3:4", "--k", "2")
+    _, want, _ = run(capsys, *argv)
+    with mock.patch.object(hereditary, "count_members", wraps=hereditary.count_members) as spy:
+        code, out, _ = run(capsys, *argv)
+    assert code == 0 and spy.call_count == 2
+    assert out == want
+    rows = json.loads(out)["result"]["rows"]
+    assert [(r["structured_count"], r["member_count"]) for r in rows] == [
+        ("127", "127"), ("29719", "29887")]
 
 
 def test_decomp_probe(capsys, tmp_path):

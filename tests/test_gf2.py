@@ -14,6 +14,8 @@ from binmat.gf2 import (
     LinearMap,
     Subspace,
     _gl_conjugacy_classes,
+    _mask_points,
+    _points_mask,
     count_linear_injections,
     enumerate_points,
     enumerate_subspaces,
@@ -111,7 +113,7 @@ def test_subspace_canonical_rejects_non_echelon():
 def test_subspace_membership_and_mask():
     s = Subspace.from_vectors(4, [0b0011, 0b1100])
     assert s.dim == 2 and s.codim == 2
-    members = {s.combination(c) for c in range(4)}
+    members = set(span_table(s.basis))
     assert {v for v in range(16) if s.contains_bits(v)} == members
     assert s.point_mask == sum(1 << (p - 1) for p in members if p)
 
@@ -163,7 +165,8 @@ def test_subspace_point_masks_match_enumerate_subspaces(n):
     for d in range(n + 1):
         subs = list(enumerate_subspaces(n, d))
         assert [S.basis for S in subs] == list(oracle_echelon_bases(n, d))
-        oracle = [sum(1 << (S.combination(c) - 1) for c in range(1, 1 << d)) for S in subs]
+        basis_maps = [LinearMap(d, n, S.basis) for S in subs]
+        oracle = [sum(1 << (phi.apply_bits(c) - 1) for c in range(1, 1 << d)) for phi in basis_maps]
         assert [S.point_mask for S in subs] == oracle
         assert list(subspace_point_masks(n, d)) == oracle
 
@@ -175,11 +178,20 @@ def test_span_table_matches_apply_bits_and_combination(vectors):
     phi = LinearMap(len(vectors), 8, tuple(vectors))
     assert table == [phi.apply_bits(x) for x in range(1 << len(vectors))]
     S = Subspace.from_vectors(8, vectors)
-    assert span_table(S.basis) == [S.combination(c) for c in range(1 << S.dim)]
+    basis_map = LinearMap(S.dim, 8, S.basis)
+    assert span_table(S.basis) == [basis_map.apply_bits(c) for c in range(1 << S.dim)]
     grown, mask = [0] * (1 << S.dim), 0
     for level, v in enumerate(S.basis):
         mask = span_step(grown, level, v, mask)
     assert grown == span_table(S.basis) and mask == S.point_mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.integers(0, (1 << ((1 << n) - 1)) - 1)),
+       st.sets(st.integers(1, 63)))
+def test_points_mask_inverts_mask_points(mask, points):
+    assert _points_mask(_mask_points(mask)) == mask
+    assert _mask_points(_points_mask(points)) == sorted(points)
 
 
 def test_point_mask_matches_spanned_points_dim5():

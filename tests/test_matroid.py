@@ -1,6 +1,9 @@
 import functools
+import hashlib
 import itertools
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
-from binmat.gf2 import LinearInjections, Subspace, random_linear_injection
+from binmat.gf2 import LinearInjections, Subspace, random_linear_injection, span_table
 from binmat.matroid import (
     Matroid,
     Pattern,
@@ -94,6 +97,42 @@ def test_load_table_rejects_malformed():
         load_table("dim=2\n1x1\n")
 
 
+def frozen_render_digest() -> str:
+    """sha256 over to_text, sorted to_json_dict and repr of seeded tables
+    of dims 0-3, ten Matroid/Pattern pairs per dimension."""
+    rng = random.Random(2021)
+    h = hashlib.sha256()
+    for dim in range(4):
+        npts = (1 << dim) - 1
+        for _ in range(10):
+            ones = rng.getrandbits(npts)
+            zeros = rng.getrandbits(npts) & ~ones
+            for obj in (Matroid(dim, ones), Pattern(dim, ones, zeros)):
+                h.update(obj.to_text().encode())
+                h.update(json.dumps(obj.to_json_dict(), sort_keys=True).encode())
+                h.update(repr(obj).encode())
+    return h.hexdigest()
+
+
+def test_rendering_frozen():
+    # recorded from the per-class renderers, before both classes shared one
+    want = "f173757f8c07f18daed0fb5941556be65bd85f25c8bf83417dbd12be72e8f2ec"
+    assert frozen_render_digest() == want
+    assert repr(Matroid(0, 0)) == "Matroid(dim=0, table='')"
+
+
+def test_dim20_round_trip_is_linear():
+    # rendering cell by cell shifted the whole table per cell: 27 s (Matroid)
+    # and 40 s (Pattern) for the render alone
+    rng = random.Random(20)
+    npts = (1 << 20) - 1
+    ones = rng.getrandbits(npts)
+    start = time.perf_counter()
+    for obj in (Matroid(20, ones), Pattern(20, ones, rng.getrandbits(npts) & ~ones)):
+        assert load_table(obj.to_text()) == obj
+    assert time.perf_counter() - start < 5
+
+
 def test_builtin_patterns():
     O2 = builtin_pattern("O2")
     assert O2.dim == 2 and O2.zeros == 0b111
@@ -125,6 +164,36 @@ def test_restrict_pattern_keeps_stars():
     W = Subspace.from_vectors(3, [0b010, 0b100])
     R = restrict(N, W)
     assert R == Pattern.from_values([STAR, STAR, 0])
+
+
+def restrict_per_point(obj, W: Subspace):
+    """restrict as first written: one value_bits call per point of W."""
+    d = W.dim
+    pts = span_table(W.basis)
+    if isinstance(obj, Matroid):
+        table = 0
+        for y in range(1, (1 << d)):
+            table |= obj.value_bits(pts[y]) << (y - 1)
+        return Matroid(d, table)
+    ones = zeros = 0
+    for y in range(1, (1 << d)):
+        v = obj.value_bits(pts[y])
+        if v == 1:
+            ones |= 1 << (y - 1)
+        elif v == 0:
+            zeros |= 1 << (y - 1)
+    return Pattern(d, ones, zeros)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_restrict_matches_per_point_loop(data):
+    n = data.draw(st.integers(0, 5))
+    cells = st.integers(0, (1 << ((1 << n) - 1)) - 1)
+    ones, zeros = data.draw(cells), data.draw(cells)
+    W = Subspace.from_vectors(n, data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n)))
+    for obj in (Matroid(n, ones), Pattern(n, ones, zeros & ~ones)):
+        assert restrict(obj, W) == restrict_per_point(obj, W)
 
 
 def test_restrict_dimension_mismatch():
