@@ -14,16 +14,19 @@ constraint marks a precomputed word mask; the next MID_BITS table bits
 index a strided (2,)*MID_BITS view of a chunk of words, and the remaining
 high bits pick the chunk.  A constraint is OR-ed into the chunk only when
 its high bits agree with the chunk's, and np.bitwise_count counts the
-tables left unmarked.  Pinned points (free-extension counting, Core
-membership) are substituted into the constraints before the sweep, which
-then runs over the free points only; with none free, the one table is
-searched directly.  The isomorphism-class census runs the same sweep once
+tables left unmarked.  The chunks are split across the cores in the
+process's CPU affinity, one thread with its own buffers per core, and the
+per-thread counts, exact integers, are summed.  Pinned points
+(free-extension counting, Core membership) are substituted into the
+constraints before the sweep, which then runs over the free points only;
+with none free, the one table is searched directly.  The isomorphism-class census runs the same sweep once
 per conjugacy class of GL(n,2), with one table bit per cycle.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,7 +158,7 @@ def _merged_constraints(patterns: Sequence[Pattern], n: int) -> tuple:
 # --- engine --------------------------------------------------------------------
 
 WORD_BITS = 6  # 64 tables per uint64 word
-MID_BITS = 18  # 2^18 words (2 MiB) per chunk
+MID_BITS = 17  # 2^17 words (1 MiB) per chunk buffer
 
 
 def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
@@ -199,13 +202,18 @@ def _sweep(nbits: int, forbid, require=()) -> tuple[int, int]:
     return (tables on which no forbid constraint holds, those of them on
     which some require constraint holds).  Word w of chunk c holds tables
     (c * 2^mid + w) * 64 + j, j < 64.  The constraints must have been
-    through _substitute."""
+    through _substitute.
+
+    The chunks are split across the cores in the CPU affinity: worker r of
+    w takes chunks r, r + w, r + 2w, ... (interleaved, since chunks with
+    more high bits set activate more all-ones constraints) into its own
+    buffers, and the exact per-worker counts are summed.  The numpy ops
+    that dominate a chunk release the GIL, so threads suffice."""
     mid = max(0, min(MID_BITS, nbits - WORD_BITS))
+    chunks = 1 << max(0, nbits - WORD_BITS - mid)
     valid = np.uint64((1 << (1 << min(nbits, WORD_BITS))) - 1)
     forbid_plan = _plan(mid, forbid)
     require_plan = _plan(mid, require) if require else None
-    words = np.empty(1 << mid, dtype=np.uint64)
-    hits = np.empty(1 << mid, dtype=np.uint64) if require else None
 
     def mark(out, plan, c):
         out.fill(0)
@@ -214,16 +222,33 @@ def _sweep(nbits: int, forbid, require=()) -> tuple[int, int]:
             if c & oh == oh and not c & zh:
                 view[idx] |= wm
 
-    total = hold = 0
-    for c in range(1 << max(0, nbits - WORD_BITS - mid)):
-        mark(words, forbid_plan, c)
-        np.invert(words, out=words)
-        words &= valid
-        total += int(np.bitwise_count(words).sum())
-        if require:
-            mark(hits, require_plan, c)
-            hold += int(np.bitwise_count(words & hits).sum())
-    return total, hold
+    def run(first: int, step: int) -> tuple[int, int]:
+        words = np.empty(1 << mid, dtype=np.uint64)
+        hits = np.empty(1 << mid, dtype=np.uint64) if require else None
+        total = hold = 0
+        for c in range(first, chunks, step):
+            mark(words, forbid_plan, c)
+            np.invert(words, out=words)
+            words &= valid
+            total += int(np.bitwise_count(words).sum())
+            if require:
+                mark(hits, require_plan, c)
+                hits &= words
+                hold += int(np.bitwise_count(hits).sum())
+        return total, hold
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cores = os.cpu_count() or 1
+    workers = min(cores, chunks)
+    if workers == 1:
+        return run(0, 1)
+    from concurrent.futures import ThreadPoolExecutor  # only multi-chunk sweeps pay for it
+
+    with ThreadPoolExecutor(workers) as pool:
+        parts = list(pool.map(run, range(workers), [workers] * workers))
+    return sum(t for t, _ in parts), sum(h for _, h in parts)
 
 
 def _check_free_bits(free: int) -> None:
@@ -288,11 +313,12 @@ def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
     """|{dim-n matroids with an all-`side` subspace of codimension <= k}|.
 
     Side 0 is the critical-number family (critical_number <= k); side 1 is
-    its complement-symmetric image.
+    its complement-symmetric image.  All tables minus one forbid sweep:
+    those with no such subspace.
     """
     _check_structure_args(n, k, side)
-    _, hold = count_members(n, (), _flat_requires(n, n - k, side))
-    return hold
+    without, _ = count_members(n, _flat_requires(n, n - k, side))
+    return (1 << ((1 << n) - 1)) - without
 
 
 def _structure_counts(P: LocalProperty, n: int, k: int, side: int = 0) -> tuple[int, int]:

@@ -126,12 +126,10 @@ class Matroid(_Table):
         n = (len(values) + 1).bit_length() - 1
         if len(values) != _npts(n):
             raise ValueError(f"need 2^n - 1 values, got {len(values)}")
-        table = 0
-        for i, v in enumerate(values):
+        for v in values:
             if v not in (0, 1):
                 raise ValueError(f"matroid values are 0/1, got {v!r}")
-            table |= v << i
-        return cls(n, table)
+        return cls(n, _cells_mask("".join("01"[v] for v in values)))
 
     @classmethod
     def constant(cls, dim: int, value: int) -> "Matroid":
@@ -187,15 +185,15 @@ class Pattern(_Table):
         n = (len(values) + 1).bit_length() - 1
         if len(values) != _npts(n):
             raise ValueError(f"need 2^n - 1 values, got {len(values)}")
-        ones = zeros = 0
-        for i, v in enumerate(values):
-            if v == 1:
-                ones |= 1 << i
-            elif v == 0:
-                zeros |= 1 << i
-            elif v != STAR and v is not None:
+        cells = []
+        for v in values:
+            if v == 1 or v == 0:
+                cells.append("1" if v == 1 else "0")
+            elif v == STAR or v is None:
+                cells.append(STAR)
+            else:
                 raise ValueError(f"pattern values are 0/1/'*', got {v!r}")
-        return cls(n, ones, zeros)
+        return cls(n, *_star_cells_masks("".join(cells)))
 
     @classmethod
     def constant(cls, dim: int, value) -> "Pattern":
@@ -249,8 +247,15 @@ class Pattern(_Table):
 _ZERO_CELLS = str.maketrans("01" + STAR, "100")  # the zero cells as '1'
 
 
+def _star_cells_masks(cells: str) -> tuple[int, int]:
+    """(ones, zeros) masks of a '0'/'1'/'*' cell string, in linear time."""
+    return _cells_mask(cells.replace(STAR, "0")), _cells_mask(cells.translate(_ZERO_CELLS))
+
+
 def _parse_table_text(text: str) -> tuple[int, str]:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    if len(lines) == 1 and lines[0].startswith("dim="):
+        lines.append("")  # a dim-0 table's cell line is empty; any other dim fails below
     if len(lines) != 2 or not lines[0].startswith("dim="):
         raise ValueError("expected a 'dim=n' line followed by one table line")
     try:
@@ -269,10 +274,10 @@ def _parse_table_text(text: str) -> tuple[int, str]:
 def load_table(text: str) -> Union[Matroid, Pattern]:
     """Parse the text format; returns a Matroid when the table is star-free."""
     dim, chars = _parse_table_text(text)
-    ones = _cells_mask(chars.replace(STAR, "0"))
+    ones, zeros = _star_cells_masks(chars)
     if STAR not in chars:
         return Matroid(dim, ones)
-    return Pattern(dim, ones, _cells_mask(chars.translate(_ZERO_CELLS)))
+    return Pattern(dim, ones, zeros)
 
 
 def load_json_dict(d: dict) -> Union[Matroid, Pattern]:
@@ -573,12 +578,13 @@ def is_k_affine(A: Pattern, k: int) -> bool:
 
 def evaluations(B: Pattern) -> Iterator[Matroid]:
     """All matroids obtained by filling B's '*' cells with bits."""
-    stars = _mask_points(B.stars)
-    if len(stars) > EVALUATION_STAR_CAP:
+    n_stars = B.stars.bit_count()  # counted before listing, which is quadratic in the width
+    if n_stars > EVALUATION_STAR_CAP:
         raise BudgetExceeded(
-            f"{len(stars)} star cells exceed the evaluation cap "
+            f"{n_stars} star cells exceed the evaluation cap "
             f"({EVALUATION_STAR_CAP}); sample instead"
         )
+    stars = _mask_points(B.stars)
     for bits in range(1 << len(stars)):
         filled = _points_mask(p for j, p in enumerate(stars) if (bits >> j) & 1)
         yield Matroid(B.dim, B.ones | filled)

@@ -154,20 +154,68 @@ def constraint_lists(n):
 
 # a small MID_BITS splits even 7- and 15-point sweeps into many chunks
 mid_bits = st.sampled_from([hereditary.MID_BITS, 3, 1, 0])
+cores = st.sampled_from([1, 2, 3])  # 3 splits unevenly, and can exceed the chunks
+
+
+def on_cores(k):
+    """Make the engine see k cores in its CPU affinity."""
+    return mock.patch.object(hereditary.os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 @pytest.mark.parametrize("n", range(5))  # 0, 1, 3, 7 or 15 points
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), mid=mid_bits)
-def test_count_members_matches_oracle(n, data, mid):
+@given(data=st.data(), mid=mid_bits, k=cores)
+def test_count_members_matches_oracle(n, data, mid, k):
     forbid = data.draw(constraint_lists(n))
     require = data.draw(constraint_lists(n))
     fixed_points = data.draw(st.integers(0, (1 << n) - 1))
     fixed_ones = data.draw(point_sets(n))
     members, hold = oracle_members(n, forbid, require, fixed_points, fixed_ones)
-    with mock.patch.object(hereditary, "MID_BITS", mid):
+    with mock.patch.object(hereditary, "MID_BITS", mid), on_cores(k):
         got = count_members(n, forbid, require, fixed_points, fixed_ones)
     assert got == (len(members), hold)
+
+
+def short_constraint_lists(n):
+    """Up to eight (oq, zq) pairs of at most four points each, so that each
+    one holds on a sizeable share of the tables."""
+    pts = st.sets(st.integers(0, (1 << n) - 2), min_size=1, max_size=4)
+    pair = st.tuples(pts, st.integers(0, 15)).map(lambda p: (
+        sum(1 << b for i, b in enumerate(sorted(p[0])) if p[1] >> i & 1),
+        sum(1 << b for i, b in enumerate(sorted(p[0])) if not p[1] >> i & 1)))
+    return st.lists(pair, max_size=8)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), k=st.sampled_from([2, 3]), fixed_points=st.sampled_from([5, 6]))
+def test_multi_chunk_sweep_matches_one_core(data, k, fixed_points):
+    # 25 or 26 free points: 4 or 8 chunks of 2^MID_BITS words
+    forbid = data.draw(short_constraint_lists(5))
+    require = data.draw(short_constraint_lists(5))  # may be empty: forbid only
+    fixed_ones = data.draw(point_sets(5))
+    args = (5, forbid, require, fixed_points, fixed_ones)
+    with on_cores(1):
+        want = count_members(*args)
+    with on_cores(k):
+        assert count_members(*args) == want
+
+
+def test_sweep_pool_only_past_one_chunk(monkeypatch):
+    import concurrent.futures
+
+    spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
+    one_chunk = 6 + hereditary.MID_BITS
+    with on_cores(4):
+        assert hereditary._sweep(one_chunk, ((1, 0),)) == (1 << (one_chunk - 1), 0)
+        assert spy.call_count == 0
+        got = hereditary._sweep(one_chunk + 1, ((1, 0),), ((2, 0),))
+        assert got == (1 << one_chunk, 1 << (one_chunk - 1))
+        spy.assert_called_once_with(2)  # never more workers than chunks
+    monkeypatch.delattr(hereditary.os, "sched_getaffinity")  # no affinity: cpu_count
+    monkeypatch.setattr(hereditary.os, "cpu_count", lambda: 3)
+    assert hereditary._sweep(one_chunk + 2, ((1, 0),)) == (1 << (one_chunk + 1), 0)
+    assert spy.call_args == mock.call(3)
 
 
 def test_count_members_edge_constraints():
@@ -222,6 +270,18 @@ def test_count_critical_at_most_naive():
                 for t in range(1 << ((1 << n) - 1))
             )
             assert count_critical_at_most(n, k) == naive
+
+
+def test_count_critical_at_most_is_the_require_count():
+    # one forbid sweep (tables with no all-`side` flat) against the require
+    # sweep it replaced
+    for n in range(5):
+        for k in range(n + 1):
+            for side in (0, 1):
+                requires = hereditary._flat_requires(n, n - k, side)
+                _, want = count_members(n, (), requires)
+                assert count_critical_at_most(n, k, side) == want
+    assert count_critical_at_most(5, 2) == 986973072
 
 
 def test_typical_structure_fraction_frozen():

@@ -97,6 +97,57 @@ def test_load_table_rejects_malformed():
         load_table("dim=2\n1x1\n")
 
 
+def test_dim0_round_trip():
+    # a dim-0 table has an empty cell line, which the parser used to drop
+    M, N = Matroid(0, 0), Pattern(0, 0, 0)
+    assert M.to_text() == "dim=0\n\n"
+    assert load_table(M.to_text()) == M
+    assert load_table("dim=0") == M
+    assert load_json_dict(M.to_json_dict()) == M
+    assert load_table(N.to_text()).to_pattern() == N  # star-free: a Matroid
+    assert load_json_dict(N.to_json_dict()) == N
+    for bad in ("dim=2\n", "dim=0\n1\n", "dim=x\n", "\n", "0\n"):
+        with pytest.raises(ValueError):
+            load_table(bad)
+
+
+def test_from_values_matches_load_table():
+    rng = random.Random(18)
+    for dim in range(7):
+        npts = (1 << dim) - 1
+        for _ in range(5):
+            ones = rng.getrandbits(npts)
+            zeros = rng.getrandbits(npts) & ~ones
+            M, N = Matroid(dim, ones), Pattern(dim, ones, zeros)
+            values = [M(p) for p in range(1, npts + 1)]
+            assert Matroid.from_values(values) == load_table(M.to_text()) == M
+            cells = [N(p) for p in range(1, npts + 1)]
+            got = Pattern.from_values(cells)
+            assert got == load_json_dict(N.to_json_dict()) == N
+            none_stars = [None if c == STAR else c for c in cells]
+            assert Pattern.from_values(none_stars) == N
+    for bad in ([2], [1, 0], ["1"]):
+        with pytest.raises(ValueError):
+            Matroid.from_values(bad)
+    for bad in ([2], [1, STAR], ["0"]):
+        with pytest.raises(ValueError):
+            Pattern.from_values(bad)
+
+
+def test_from_values_is_linear():
+    # table |= v << i copied the growing table per value: 0.38 s (Matroid)
+    # and 0.55 s (Pattern) at dim 18
+    rng = random.Random(180)
+    values = [rng.getrandbits(1) for _ in range((1 << 18) - 1)]
+    cells = [STAR if rng.random() < 0.2 else v for v in values]
+    start = time.perf_counter()
+    M = Matroid.from_values(values)
+    N = Pattern.from_values(cells)
+    assert time.perf_counter() - start < 0.2
+    assert M.weight == sum(values)
+    assert N.stars.bit_count() == cells.count(STAR)
+
+
 def frozen_render_digest() -> str:
     """sha256 over to_text, sorted to_json_dict and repr of seeded tables
     of dims 0-3, ten Matroid/Pattern pairs per dimension."""
@@ -399,6 +450,16 @@ def test_evaluations_fill_stars():
     assert len(evs) == 2
     tables = {E.table for E in evs}
     assert tables == {0b110, 0b111}
+
+
+def test_evaluations_refuses_before_listing_stars():
+    # the star list is quadratic in the mask width: counting first refuses
+    # an all-star dim-20 pattern at once instead of after about a minute
+    B = Pattern.constant(20, STAR)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="1048575 star cells exceed the evaluation cap"):
+        next(evaluations(B))
+    assert time.perf_counter() - start < 1
 
 
 def test_vanishing_pattern_matches_critical():
