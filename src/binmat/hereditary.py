@@ -19,8 +19,9 @@ process's CPU affinity, one thread with its own buffers per core, and the
 per-thread counts, exact integers, are summed.  Pinned points
 (free-extension counting, Core membership) are substituted into the
 constraints before the sweep, which then runs over the free points only;
-with none free, the one table is searched directly.  The isomorphism-class census runs the same sweep once
-per conjugacy class of GL(n,2), with one table bit per cycle.
+with none free, the one table is searched directly.  The isomorphism-class
+census runs the same sweep once per conjugacy class of GL(n,2), with one
+table bit per cycle.
 """
 
 from __future__ import annotations

@@ -177,12 +177,12 @@ def test_count_members_matches_oracle(n, data, mid, k):
 
 
 def short_constraint_lists(n):
-    """Up to eight (oq, zq) pairs of at most four points each, so that each
+    """Up to eight (oq, zq) pairs on at most four points each, so that each
     one holds on a sizeable share of the tables."""
-    pts = st.sets(st.integers(0, (1 << n) - 2), min_size=1, max_size=4)
-    pair = st.tuples(pts, st.integers(0, 15)).map(lambda p: (
-        sum(1 << b for i, b in enumerate(sorted(p[0])) if p[1] >> i & 1),
-        sum(1 << b for i, b in enumerate(sorted(p[0])) if not p[1] >> i & 1)))
+    cells = st.lists(st.tuples(st.integers(0, (1 << n) - 2), st.booleans()),
+                     min_size=1, max_size=4, unique_by=lambda cell: cell[0])
+    pair = cells.map(lambda cs: (sum(1 << b for b, one in cs if one),
+                                 sum(1 << b for b, one in cs if not one)))
     return st.lists(pair, max_size=8)
 
 

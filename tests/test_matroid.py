@@ -98,7 +98,7 @@ def test_load_table_rejects_malformed():
 
 
 def test_dim0_round_trip():
-    # a dim-0 table has an empty cell line, which the parser used to drop
+    # a dim-0 table has no cells, so its cell line is empty or missing
     M, N = Matroid(0, 0), Pattern(0, 0, 0)
     assert M.to_text() == "dim=0\n\n"
     assert load_table(M.to_text()) == M
