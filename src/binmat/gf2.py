@@ -12,7 +12,10 @@ Conventions used throughout the package:
 * Every span is computed by one kernel.  span_table(vectors) doubles a list
   so that table[x] is the XOR of vectors[i] over the set bits i of x;
   span_step() adds one vector to such a table in place and sets the new
-  points in a point mask, for searches that grow a span level by level.
+  points in a point mask.  One depth-first search over basis images on
+  span_step, _image_search (given a per-level filter and candidate order),
+  serves LinearInjections.image_tuples, instance search and canonical forms;
+  critical numbers and the packing walk call span_step on their own.
   subspace_point_masks() walks the same echelon shapes as
   enumerate_subspaces() but yields point masks, not Subspace objects.
 * rooted_subspace_packing() does not sweep those masks: it walks the same
@@ -38,7 +41,7 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -125,12 +128,7 @@ def _points_mask(points: Iterable[int]) -> int:
 def _mask_points(mask: int) -> list[int]:
     """The points p whose bit p-1 is set in mask, ascending; inverse of
     _points_mask."""
-    pts = []
-    while mask:
-        low = mask & -mask
-        pts.append(low.bit_length())
-        mask ^= low
-    return pts
+    return [p for p, c in enumerate(bin(mask)[:1:-1], 1) if c == "1"]
 
 
 @dataclass(frozen=True)
@@ -144,10 +142,6 @@ class GF2Vector:
         _check_dim(self.ambient_dim)
         if not 0 <= self.bits < (1 << self.ambient_dim):
             raise ValueError(f"bits {self.bits:#x} out of range for dim {self.ambient_dim}")
-
-    @property
-    def is_point(self) -> bool:
-        return self.bits != 0
 
     def __add__(self, other: "GF2Vector") -> "GF2Vector":
         if self.ambient_dim != other.ambient_dim:
@@ -345,9 +339,6 @@ class LinearMap:
     def is_injective(self) -> bool:
         return rank(self.images) == self.domain_dim
 
-    def image_subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.codomain_dim, self.images)
-
 
 def count_linear_injections(d: int, n: int) -> int:
     """Number of injective linear maps F_2^d -> F_2^n: prod(2^n - 2^i)."""
@@ -524,29 +515,9 @@ class LinearInjections(SequenceABC):
         return idx
 
     def image_tuples(self) -> Iterator[tuple[int, ...]]:
-        """Iterate the image tuples in index order without LinearMap overhead."""
-        if self.vacuous:
-            return
-        d, top = self.domain_dim, 1 << self.codomain_dim
-        if d == 0:
-            yield ()
-            return
-        images = [0] * d
-        table = [0]  # grows with the deepest level reached
-
-        def rec(level: int, mask: int) -> Iterator[tuple[int, ...]]:
-            # mask: the points (bit p-1) spanned by images[:level]
-            outside = [img for img in range(1, top) if not (mask >> (img - 1)) & 1]
-            if level == d - 1:  # the last span is never read
-                head = tuple(images[:level])
-                for img in outside:
-                    yield head + (img,)
-                return
-            for img in outside:
-                images[level] = img
-                yield from rec(level + 1, span_step(table, level, img, mask))
-
-        yield from rec(0, 0)
+        """Iterate the image tuples in index order without LinearMap overhead.
+        A generator function, so that a tracer wrapping it sees each item."""
+        yield from _image_search(self.domain_dim, self.codomain_dim)
 
     def __iter__(self) -> Iterator[LinearMap]:
         for images in self.image_tuples():
@@ -558,6 +529,46 @@ class LinearInjections(SequenceABC):
             return True
         except ValueError:
             return False
+
+
+def _image_search(
+    d: int, n: int, admits: Optional[Callable[[int, int, list[int]], bool]] = None,
+    order: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """The image tuples of the injective linear maps F_2^d -> F_2^n that the
+    filter admits, depth first over the basis images.
+
+    Level i tries the images in order (ascending by default), skips those in
+    the span of the images chosen so far and keeps img only if admits(i, img,
+    table) holds; table[:2^i] is that span as a span table, so table[x] ^ img
+    is the image of the point 2^i + x.  A rejected image prunes its subtree.
+    With no filter and the default order this is LinearInjections(d, n).
+    """
+    if d > n:
+        return
+    if d == 0:
+        yield ()
+        return
+    if order is None:
+        order = range(1, 1 << n)
+    images = [0] * d
+    table = [0]  # the span table of images[:i]; span_step grows it
+
+    def rec(i: int, mask: int) -> Iterator[tuple[int, ...]]:
+        # mask: the points (bit p-1) spanned by images[:i]
+        last = i == d - 1  # the last span is never read
+        for img in order:
+            if (mask >> (img - 1)) & 1:
+                continue
+            if admits is not None and not admits(i, img, table):
+                continue
+            images[i] = img
+            if last:
+                yield tuple(images)
+            else:
+                yield from rec(i + 1, span_step(table, i, img, mask))
+
+    yield from rec(0, 0)
 
 
 def random_linear_injection(d: int, n: int, rng) -> LinearMap:

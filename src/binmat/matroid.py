@@ -6,8 +6,9 @@ A pattern additionally allows the unconstrained value '*'.  An instance of a
 pattern N in a target M is an injective linear map phi with
 N(x) = M(phi(x)) for every non-star cell x of N.
 
-Everything in this module is exact: densities are fractions, searches are
-backtracking over basis-image choices with pruning on the partial span.
+Everything in this module is exact: densities are fractions.  Instance
+search and canonical_form are one search over basis images, gf2._image_search,
+each with a filter that prunes on the partial span.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .gf2 import (
     LinearInjections,
     LinearMap,
     Subspace,
+    _image_search,
     _mask_points,
     _points_mask,
     count_linear_injections,
@@ -318,80 +320,43 @@ def restrict(obj, W: Subspace):
 
 # --- instance search -------------------------------------------------------
 
-def _search_instances(
-    src: Pattern, tgt, limit: Optional[int] = None
-) -> Iterator[tuple[int, ...]]:
-    """Yield image tuples of the injections realizing src inside tgt.
+def _search_instances(N, tgt) -> Iterator[tuple[int, ...]]:
+    """The image tuples of the injections realizing N inside tgt, in
+    LinearInjections index order.
 
-    tgt may be a Matroid or a Pattern; for a Pattern target the match is
-    exact (a '*' cell of tgt satisfies no 0/1 requirement of src, so
+    N and tgt may each be a Matroid or a Pattern; for a Pattern target the
+    match is exact (a '*' cell of tgt satisfies no 0/1 requirement of N, so
     constrained source cells must land on equal-valued target cells).
     """
+    src, tgt_pat = _coerce_pattern(N), _coerce_pattern(tgt)
     d = src.dim
-    tgt_pat = _coerce_pattern(tgt)
     n = tgt_pat.dim
     if d > n:
-        return
-    if d == 0:
-        yield ()
-        return
-    tgt_ones, tgt_zeros = tgt_pat.ones, tgt_pat.zeros
-    # constraints for the points first determined at each level:
-    # level i decides phi on {2^i + xoff : 0 <= xoff < 2^i}
-    cons: list[list[tuple[int, int]]] = []
-    for i in range(d):
-        lvl = []
-        for xoff in range(1 << i):
-            x = (1 << i) + xoff
-            v = src.value_bits(x)
-            if v == 1:
-                lvl.append((xoff, tgt_ones))
-            elif v == 0:
-                lvl.append((xoff, tgt_zeros))
-        cons.append(lvl)
-    phi = [0] * (1 << d)  # the span table of images[:i]
-    images = [0] * d
-    emitted = 0
+        return iter(())
+    tgt_ones, tgt_zeros = tgt_pat.ones << 1, tgt_pat.zeros << 1  # bit p for point p
+    # level i decides phi on the points 2^i + xoff (0 <= xoff < 2^i)
+    cons: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    for x in _mask_points(src.ones | src.zeros):
+        i = x.bit_length() - 1
+        cons[i].append((x - (1 << i), tgt_ones if (src.ones >> (x - 1)) & 1 else tgt_zeros))
 
-    def rec(i: int, mask: int) -> Iterator[tuple[int, ...]]:
-        nonlocal emitted
-        for img in range(1, (1 << n)):
-            if (mask >> (img - 1)) & 1:
-                continue
-            ok = True
-            for xoff, need in cons[i]:
-                p = phi[xoff] ^ img
-                if not (need >> (p - 1)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            images[i] = img
-            if i + 1 == d:
-                emitted += 1
-                yield tuple(images)
-                if limit is not None and emitted >= limit:
-                    return
-                continue
-            yield from rec(i + 1, span_step(phi, i, img, mask))
-            if limit is not None and emitted >= limit:
-                return
+    def admits(i: int, img: int, table: list[int]) -> bool:
+        for xoff, need in cons[i]:
+            if not (need >> (table[xoff] ^ img)) & 1:
+                return False
+        return True
 
-    yield from rec(0, 0)
+    return _image_search(d, n, admits)
 
 
 def find_instance(N, M) -> Optional[LinearMap]:
     """A witness injection realizing N inside M, or None."""
-    src = _coerce_pattern(N)
-    tgt_dim = M.dim
-    for images in _search_instances(src, M, limit=1):
-        return LinearMap(src.dim, tgt_dim, images)
-    return None
+    images = next(_search_instances(N, M), None)
+    return None if images is None else LinearMap(N.dim, M.dim, images)
 
 
 def count_instances(N, M) -> int:
-    src = _coerce_pattern(N)
-    return sum(1 for _ in _search_instances(src, M))
+    return sum(1 for _ in _search_instances(N, M))
 
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> bool:
@@ -417,45 +382,29 @@ def canonical_form(M: Matroid) -> Matroid:
         return M
     if n > 5:
         raise BudgetExceeded("canonical_form is capped at dim 5")
-    npts = M.n_points
-    vals = [(M.table >> i) & 1 for i in range(npts)]
-    lower = sorted(vals)
-    if vals == lower:
+    cells = list(M.cells())  # '0' < '1', so cell lists compare like tables
+    lower = sorted(cells)
+    if cells == lower:
         return M
-    best = vals[:]
-    cur = [0] * npts
-    phi = [0] * (1 << n)
-    order = sorted(range(1, npts + 1), key=lambda p: (vals[p - 1], p))
-    done = False
+    value = [""] + cells  # value[p] is the cell of point p
+    best = cells[:]
+    cur = cells[:]
+    order = sorted(range(1, len(value)), key=lambda p: (value[p], p))
 
-    def rec(i: int, span_mask: int) -> None:
-        nonlocal done
+    def admits(i: int, img: int, table: list[int]) -> bool:
+        # level i decides the cells of the points 2^i .. 2^(i+1) - 1
         base = (1 << i) - 1
-        blk = 1 << i
-        end = base + blk
-        for img in order:
-            if done:
-                return
-            if (span_mask >> (img - 1)) & 1:
-                continue
-            for xoff in range(blk):
-                cur[base + xoff] = vals[(phi[xoff] ^ img) - 1]
-            if cur[:end] > best[:end]:
-                continue
-            if i + 1 == n:
-                if cur < best:
-                    best[:] = cur
-                    if best == lower:
-                        done = True
-                        return
-                continue
-            rec(i + 1, span_step(phi, i, img, span_mask))
+        for xoff in range(1 << i):
+            cur[base + xoff] = value[table[xoff] ^ img]
+        end = base + (1 << i)
+        return cur[:end] <= best[:end]
 
-    rec(0, 0)
-    table = 0
-    for i, v in enumerate(best):
-        table |= v << i
-    return Matroid(n, table)
+    for _ in _image_search(n, n, admits, order):
+        if cur < best:
+            best[:] = cur
+            if best == lower:
+                break
+    return Matroid(n, _cells_mask("".join(best)))
 
 
 # --- densities --------------------------------------------------------------
@@ -578,7 +527,7 @@ def is_k_affine(A: Pattern, k: int) -> bool:
 
 def evaluations(B: Pattern) -> Iterator[Matroid]:
     """All matroids obtained by filling B's '*' cells with bits."""
-    n_stars = B.stars.bit_count()  # counted before listing, which is quadratic in the width
+    n_stars = B.stars.bit_count()  # checked before the star cells are listed
     if n_stars > EVALUATION_STAR_CAP:
         raise BudgetExceeded(
             f"{n_stars} star cells exceed the evaluation cap "

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
@@ -186,10 +186,23 @@ def test_span_table_matches_apply_bits_and_combination(vectors):
     assert grown == span_table(S.basis) and mask == S.point_mask
 
 
+def mask_points_bit_walk(mask: int) -> list[int]:
+    """_mask_points as first written: peel off the lowest set bit (quadratic
+    in the mask width, since each step rewrites the whole int)."""
+    pts = []
+    while mask:
+        low = mask & -mask
+        pts.append(low.bit_length())
+        mask ^= low
+    return pts
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.integers(0, (1 << ((1 << n) - 1)) - 1)),
+@given(st.integers(0, 8).flatmap(lambda n: st.integers(0, (1 << ((1 << n) - 1)) - 1)),
        st.sets(st.integers(1, 63)))
+@example(0, set())
 def test_points_mask_inverts_mask_points(mask, points):
+    assert _mask_points(mask) == mask_points_bit_walk(mask)
     assert _points_mask(_mask_points(mask)) == mask
     assert _mask_points(_points_mask(points)) == sorted(points)
 

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
@@ -309,6 +309,35 @@ def test_empty_pattern_has_one_instance():
     assert count_instances(empty, M) == 1
 
 
+CELLS3 = st.integers(0, (1 << 7) - 1)  # masks over the points of a dim <= 3 table
+CELLS4 = st.integers(0, (1 << 15) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 4), CELLS3, CELLS3, CELLS4, CELLS4, st.booleans())
+@example(0, 2, 0, 0, 0b101, 0b010, False)  # d = 0: the empty map realizes anything
+@example(0, 0, 0, 0, 0, 0, True)
+@example(3, 2, 0, 0, 0, 0, False)  # d > n: no injection at all
+@example(2, 1, 0b111, 0, 1, 0, True)
+def test_instance_search_matches_brute_force(d, n, src_ones, src_zeros, ones, zeros, as_pattern):
+    """count_instances and find_instance against a filter over LinearInjections
+    decoded index by index: a map realizes N when every 0/1 cell x of N has
+    the same value at phi(x) in the target (a '*' target cell matches none)."""
+    src_full, tgt_full = (1 << ((1 << d) - 1)) - 1, (1 << ((1 << n) - 1)) - 1
+    N = Pattern(d, src_ones & src_full, src_zeros & src_full & ~src_ones)
+    ones &= tgt_full
+    T = Pattern(n, ones, zeros & tgt_full & ~ones) if as_pattern else Matroid(n, ones)
+    seq = LinearInjections(d, n)
+    realizing = []
+    for idx in range(len(seq)):
+        phi = seq[idx]
+        if all(N(x) == STAR or N(x) == T(phi.apply_bits(x)) for x in range(1, 1 << d)):
+            realizing.append(phi.images)
+    assert count_instances(N, T) == len(realizing)
+    found = find_instance(N, T)
+    assert (None if found is None else found.images) == (realizing[0] if realizing else None)
+
+
 # --- isomorphism -------------------------------------------------------------------
 
 def brute_isomorphic(M1: Matroid, M2: Matroid) -> bool:
@@ -453,8 +482,8 @@ def test_evaluations_fill_stars():
 
 
 def test_evaluations_refuses_before_listing_stars():
-    # the star list is quadratic in the mask width: counting first refuses
-    # an all-star dim-20 pattern at once instead of after about a minute
+    # counting the stars first refuses an all-star dim-20 pattern before its
+    # 2^20 - 1 star cells are listed
     B = Pattern.constant(20, STAR)
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="1048575 star cells exceed the evaluation cap"):
@@ -462,11 +491,35 @@ def test_evaluations_refuses_before_listing_stars():
     assert time.perf_counter() - start < 1
 
 
+def test_is_k_affine_all_star_dim18():
+    # the star cells are listed in time linear in the mask width; the old
+    # lowest-bit walk was quadratic (4.6 s to list them at dim 18)
+    start = time.perf_counter()
+    assert is_k_affine(Pattern.constant(18, STAR), 0)
+    assert time.perf_counter() - start < 3
+
+
+def _seeded_dim5() -> list[Matroid]:
+    """Seeded dim-5 tables of ones density 1/4 and 1/2, their complements,
+    the constants and the points off a hyperplane: critical numbers 0 to 5.
+    Tables with a handful of ones are left out: the k = 0 search then walks
+    nearly all of GL(5, 2) (9 s at weight 1)."""
+    rng = random.Random(20251)
+    tables = [(1 << 31) - (1 << 15)]  # ones off the hyperplane x_4 = 0
+    for rounds in (2, 1):  # AND of `rounds` random words
+        for _ in range(5):
+            t = (1 << 31) - 1
+            for _ in range(rounds):
+                t &= rng.getrandbits(31)
+            tables += [t, t ^ ((1 << 31) - 1)]
+    return [Matroid(5, t) for t in tables] + [Matroid.constant(5, 0), Matroid.constant(5, 1)]
+
+
 def test_vanishing_pattern_matches_critical():
-    for M in ALL_DIM3:
+    for M in ALL_DIM3 + _seeded_dim5():
         crit = critical_number(M)
-        for k in range(0, 4):
-            has = find_instance(vanishing_pattern(k, 3), M.to_pattern()) is not None
+        for k in range(0, M.dim + 1):
+            has = find_instance(vanishing_pattern(k, M.dim), M.to_pattern()) is not None
             assert has == (crit <= k)
 
 
