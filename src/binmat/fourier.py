@@ -6,6 +6,11 @@ matroid counting.
 Functions on the full cube F_2^n are plain sequences of length 2^n indexed
 by the vector bits; matroid-side level-set functions reuse
 matroid.RealFunction (defined on the 2^n - 1 points).
+
+Every function F_2^n -> 2^-k Z/Z has one normal form alpha + sum of
+c_{I,j} |x_I| / 2^j with c in {0, 1} (Tao-Ziegler, Ann. Comb. 2012,
+Lemma 1.7), so verify_degree decides degrees exactly from it, with no
+budget, and distinct normal forms are distinct functions.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ __all__ = [
 
 GOWERS_EXHAUSTIVE_BUDGET = 1 << 28
 GOWERS_ROW_OP_BUDGET = 1 << 16  # numpy calls on whole rows of one exhaustive U_d
-DEGREE_BFS_BUDGET = 1 << 22
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
 GOWERS_BATCH_CELLS = 1 << 16  # table cells per batched residual Gowers call
@@ -250,26 +254,21 @@ def derivative(f: Sequence, y: Union[int, GF2Vector]) -> tuple[TorusValue, ...]:
 @dataclass(frozen=True)
 class DegreeCheck:
     passed: bool
-    exhaustive: bool
-    trials: Optional[int] = None
 
     def __bool__(self):
         return self.passed
 
 
-def verify_degree(
-    f: Union[NonclassicalPolynomial, Sequence],
-    d: int,
-    budget: int = DEGREE_BFS_BUDGET,
-    trials: int = 2000,
-    seed: int = 0,
-) -> DegreeCheck:
+def verify_degree(f: Union[NonclassicalPolynomial, Sequence], d: int) -> DegreeCheck:
     """True iff every (d+1)-fold derivative of f vanishes identically.
 
-    Exhaustive mode runs a breadth-first sweep over derivative tables with
-    deduplication per level; if the sweep would exceed `budget` table
-    expansions it falls back to `trials` random direction tuples and flags
-    the result as non-exhaustive.
+    Decided exactly from the unique normal form of f (Tao-Ziegler 2012,
+    Lemma 1.7): with values in units of 2^-ld, the Moebius transform mod
+    2^ld gives f = sum over I of a_I |x_I|, binary digit ld - j of a_I is
+    the coefficient of the term (I, j), and f has degree <= d iff every
+    term with I nonempty has |I| + j - 1 <= d, that is iff
+    a_I * 2^(d+1-|I|) = 0 mod 2^ld.  O(n 2^n) integer operations; the
+    constant a_0 has degree 0 whatever its denominator.
     """
     if d < 0:
         raise ValueError("degree must be nonnegative")
@@ -282,32 +281,14 @@ def verify_degree(
     if size != 1 << n:
         raise ValueError("table length must be a power of two")
     mod = 1 << ld
-
-    if mod == 1:
-        return DegreeCheck(True, True)
-
-    def diff(t: tuple, y: int) -> tuple:
-        return tuple((t[x ^ y] - t[x]) % mod for x in range(size))
-
-    zero = (0,) * size
-    level = {tbl}
-    ops = 0
-    for _ in range(d + 1):
-        ops += len(level) * size * size
-        if ops > budget:
-            break
-        level = {diff(t, y) for t in level for y in range(size)}
-    else:
-        return DegreeCheck(all(t == zero for t in level), True)
-
-    rng = random.Random(seed)
-    for _ in range(trials):
-        t = tbl
-        for _ in range(d + 1):
-            t = diff(t, rng.randrange(size))
-        if t != zero:
-            return DegreeCheck(False, False, trials)
-    return DegreeCheck(True, False, trials)
+    a = list(tbl)
+    for i in range(n):  # subtract the bit-i-clear half from the bit-i-set half
+        h = 1 << i
+        for lo in range(h, size, h << 1):
+            a[lo:lo + h] = [(u - v) % mod for u, v in zip(a[lo:lo + h], a[lo - h:lo])]
+    return DegreeCheck(all(
+        not (c << max(0, d + 1 - I.bit_count())) % mod for I, c in enumerate(a) if I
+    ))
 
 
 # --- polynomial factors --------------------------------------------------------
@@ -403,16 +384,15 @@ def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolyno
 
 
 def _factor_candidates(n: int, d: int, C: int) -> tuple[list[NonclassicalPolynomial], np.ndarray]:
-    """The first normal form of each distinct value table (all share degree
-    d, so int tables compare functions) and each one's first-seen part
-    labels; refuses when too many C-multisets of them exist."""
-    reps: dict[tuple, NonclassicalPolynomial] = {}
-    for P in enumerate_normal_form_polynomials(n, d):
-        reps.setdefault(P.int_table()[0], P)
-    n_multisets = math.comb(len(reps) + C - 1, C)
+    """The degree-d normal forms and each one's first-seen part labels;
+    refuses when too many C-multisets of them exist.  Distinct normal forms
+    have distinct value tables (the normal form is unique), so each
+    candidate is a different function."""
+    polys = enumerate_normal_form_polynomials(n, d)
+    n_multisets = math.comb(len(polys) + C - 1, C)
     if n_multisets > POLY_ENUM_CAP:
         raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
-    return list(reps.values()), _partition_signatures(np.array(list(reps)))
+    return polys, _partition_signatures(np.array([P.int_table()[0] for P in polys]))
 
 
 def _distinct_partitions(sigs: np.ndarray, C: int) -> dict[bytes, tuple]:

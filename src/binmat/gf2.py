@@ -71,13 +71,20 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"ambient dimension must be in [0, {MAX_DIM}], got {n}")
 
 
+def _reduce(v: int, basis: Iterable[int]) -> int:
+    """v reduced by a reduced echelon basis (lowest-set-bit pivots); zero
+    iff v lies in its span."""
+    for b in basis:
+        if v & (b & -b):
+            v ^= b
+    return v
+
+
 def rref(vectors: Sequence[int]) -> tuple[int, ...]:
     """Reduced echelon basis (lowest-set-bit pivots, ascending) of a span."""
     basis: list[int] = []  # kept sorted by pivot
     for v in vectors:
-        for b in basis:
-            if v & (b & -b):
-                v ^= b
+        v = _reduce(v, basis)
         if not v:
             continue
         piv = v & -v
@@ -206,10 +213,7 @@ class Subspace:
         return self.ambient_dim - len(self.basis)
 
     def contains_bits(self, v: int) -> bool:
-        for b in self.basis:
-            if v & (b & -b):
-                v ^= b
-        return v == 0
+        return _reduce(v, self.basis) == 0
 
     def __contains__(self, v) -> bool:
         if isinstance(v, GF2Vector):
@@ -579,14 +583,9 @@ def random_linear_injection(d: int, n: int, rng) -> LinearMap:
     images: list[int] = []
     basis: list[int] = []
     for _ in range(d):
-        while True:
+        img = rng.randrange(1, 1 << n)
+        while not _reduce(img, basis):
             img = rng.randrange(1, 1 << n)
-            red = img
-            for b in basis:
-                if red & (b & -b):
-                    red ^= b
-            if red:
-                break
         images.append(img)
         basis = list(rref(basis + [img]))
     return LinearMap(d, n, tuple(images))

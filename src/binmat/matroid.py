@@ -30,7 +30,6 @@ from .gf2 import (
     count_linear_injections,
     enumerate_subspaces,
     random_linear_injection,
-    rank,
     span_step,
     span_table,
 )
@@ -331,7 +330,10 @@ def _search_instances(N, tgt) -> Iterator[tuple[int, ...]]:
     src, tgt_pat = _coerce_pattern(N), _coerce_pattern(tgt)
     d = src.dim
     n = tgt_pat.dim
-    if d > n:
+    # an injection maps distinct points to distinct points
+    if d > n or src.ones.bit_count() > tgt_pat.ones.bit_count() or (
+        src.zeros.bit_count() > tgt_pat.zeros.bit_count()
+    ):
         return iter(())
     tgt_ones, tgt_zeros = tgt_pat.ones << 1, tgt_pat.zeros << 1  # bit p for point p
     # level i decides phi on the points 2^i + xoff (0 <= xoff < 2^i)
@@ -517,12 +519,23 @@ def vanishing_pattern(k: int, d: int) -> Pattern:
 
 
 def is_k_affine(A: Pattern, k: int) -> bool:
-    """True iff A's star set (plus 0) is a subspace of codimension exactly k."""
-    pts = _mask_points(A.stars)
-    r = rank(pts)
-    if len(pts) != (1 << r) - 1:
+    """True iff A's star set (plus 0) is a subspace of codimension exactly k.
+
+    The star count must be 2^(dim-k) - 1; then the stars form that subspace
+    iff their span, grown by doubling, never needs more than dim-k vectors.
+    """
+    r = A.dim - k
+    if not 0 <= r <= A.dim or A.stars.bit_count() != (1 << r) - 1:
         return False
-    return A.dim - r == k
+    span, seen = [0], {0}
+    for p in _mask_points(A.stars):
+        if p not in seen:
+            if len(span) == 1 << r:
+                return False
+            new = [q ^ p for q in span]
+            span += new
+            seen.update(new)
+    return True
 
 
 def evaluations(B: Pattern) -> Iterator[Matroid]:

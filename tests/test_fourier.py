@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
 from binmat.fourier import (
-    DEGREE_BFS_BUDGET,
     NonclassicalPolynomial,
     PolynomialFactor,
     TorusValue,
@@ -32,6 +31,7 @@ from binmat.fourier import (
     polynomial_to_text,
     verify_degree,
     _gowers_power,
+    _torus_int_table,
     _partition_signatures,
 )
 from binmat.gf2 import GF2Vector
@@ -154,7 +154,6 @@ def test_degree_boundary(n, d, terms):
     # a maximal term (|I| + j = d + 1) makes the polynomial degree exactly d
     P = NonclassicalPolynomial.build(n, d, 0, terms)
     assert verify_degree(P, d).passed
-    assert verify_degree(P, d).exhaustive
     assert not verify_degree(P, d - 1).passed
 
 
@@ -168,12 +167,56 @@ def test_degree_zero_constant():
     assert not verify_degree(linear, 0).passed
 
 
-def test_degree_randomized_fallback():
-    P = NonclassicalPolynomial.build(3, 2, 0, [(0b011, 1)])
-    chk = verify_degree(P, 2, budget=1, trials=200, seed=3)
-    assert chk.passed and not chk.exhaustive and chk.trials == 200
-    chk_fail = verify_degree(P, 1, budget=1, trials=200, seed=3)
-    assert not chk_fail.passed
+def _degree_oracle(values, d: int) -> bool:
+    """The definition: every (d+1)-fold derivative vanishes, with the
+    derivative tables of each order deduplicated."""
+    tbl, ld = _torus_int_table(values)
+    mod, size = 1 << ld, len(tbl)
+    level = {tbl}
+    for _ in range(d + 1):
+        level = {tuple((t[x ^ y] - t[x]) % mod for x in range(size))
+                 for t in level for y in range(size)}
+    return all(not any(t) for t in level)
+
+
+def test_degree_matches_derivative_definition_exhaustive():
+    # every table on F_2^n, n <= 2, with values in 2^-ld Z/Z, ld <= 2
+    checked = 0
+    for n, ld in itertools.product(range(3), range(3)):
+        for nums in itertools.product(range(1 << ld), repeat=1 << n):
+            f = [TorusValue(v, ld) for v in nums]
+            for d in range(n + ld + 1):
+                assert verify_degree(f, d).passed == _degree_oracle(f, d), (nums, ld, d)
+                checked += 1
+    assert checked == 1442
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_degree_matches_derivative_definition(data):
+    n = data.draw(st.integers(0, 3))
+    ld = data.draw(st.integers(0, 4))
+    nums = data.draw(st.lists(st.integers(0, (1 << ld) - 1), min_size=1 << n, max_size=1 << n))
+    d = data.draw(st.integers(0, 5))
+    f = [TorusValue(v, ld) for v in nums]
+    assert verify_degree(f, d).passed == _degree_oracle(f, d)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (4, 1)])
+def test_normal_forms_have_distinct_tables(n, d):
+    polys = enumerate_normal_form_polynomials(n, d)
+    assert len({P.int_table() for P in polys}) == len(polys)
+
+
+def test_degree_exact_at_n10():
+    # a maximal term |x1 x2 x3| / 2 makes the degree exactly 3
+    P = NonclassicalPolynomial.build(
+        10, 3, Fraction(1, 8), [(0b111, 1), (0b11 << 4, 2), (1 << 9, 3), (0b1001 << 5, 1)]
+    )
+    start = time.perf_counter()
+    assert verify_degree(P, 3).passed
+    assert not verify_degree(P, 2).passed
+    assert time.perf_counter() - start < 1
 
 
 def test_degree_rejects_bad_input():

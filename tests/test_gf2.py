@@ -301,6 +301,21 @@ def test_random_injection_deterministic():
     assert inv.is_injective and inv.domain_dim == inv.codomain_dim == 4
 
 
+@pytest.mark.parametrize(
+    "d,n,seed,images",
+    [
+        (3, 5, 7, (11, 31, 5)),
+        (4, 4, 1, (3, 10, 14, 2)),
+        (5, 8, 2024, (121, 47, 187, 149, 78)),
+        (2, 31, 3, (511025151, 1272686666)),
+        (6, 6, 0, (55, 25, 49, 57, 27, 3)),
+    ],
+)
+def test_random_injection_frozen_draws(d, n, seed, images):
+    # draws recorded from earlier runs: a seed must keep giving the same maps
+    assert random_linear_injection(d, n, random.Random(seed)).images == images
+
+
 # --- rooted packings -------------------------------------------------------------
 
 def pack_conditions(fam, U, W, d):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from binmat.errors import BudgetExceeded
-from binmat.gf2 import LinearInjections, Subspace, random_linear_injection, span_table
+from binmat.gf2 import LinearInjections, Subspace, random_linear_injection, rank, span_table
 from binmat.matroid import (
     Matroid,
     Pattern,
@@ -473,6 +473,22 @@ def test_is_k_affine():
     assert not is_k_affine(scattered, 1)
 
 
+def _is_k_affine_by_rank(A: Pattern, k: int) -> bool:
+    pts = [p for p in range(1, A.n_points + 1) if (A.stars >> (p - 1)) & 1]
+    r = rank(pts)
+    return len(pts) == (1 << r) - 1 and A.dim - r == k
+
+
+def test_is_k_affine_matches_rank_rule():
+    # every star set of dim <= 3 (the other cells 1), k one beyond each end
+    for dim in range(4):
+        full = (1 << ((1 << dim) - 1)) - 1
+        for stars in range(full + 1):
+            A = Pattern(dim, full ^ stars, 0)
+            for k in range(-1, dim + 2):
+                assert is_k_affine(A, k) == _is_k_affine_by_rank(A, k), (dim, stars, k)
+
+
 def test_evaluations_fill_stars():
     B = bose_burton(1, 2)
     evs = list(evaluations(B))
@@ -501,11 +517,11 @@ def test_is_k_affine_all_star_dim18():
 
 def _seeded_dim5() -> list[Matroid]:
     """Seeded dim-5 tables of ones density 1/4 and 1/2, their complements,
-    the constants and the points off a hyperplane: critical numbers 0 to 5.
-    Tables with a handful of ones are left out: the k = 0 search then walks
-    nearly all of GL(5, 2) (9 s at weight 1)."""
+    the constants, the points off a hyperplane, and tables of weight 1, 2
+    and 3 (the full line {1, 2, 3} among them): critical numbers 0 to 5."""
     rng = random.Random(20251)
     tables = [(1 << 31) - (1 << 15)]  # ones off the hyperplane x_4 = 0
+    tables += [1 << 7, (1 << 4) | (1 << 20), (1 << 2) | (1 << 9) | (1 << 30), 0b111]
     for rounds in (2, 1):  # AND of `rounds` random words
         for _ in range(5):
             t = (1 << 31) - 1
