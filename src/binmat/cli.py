@@ -103,7 +103,10 @@ def _property_arg(specs) -> object:
 def _values_arg(path: str) -> list:
     """Whitespace-separated exact values ('1/3', '0.25', '1')."""
     toks = Path(path).read_text().split()
-    return [Fraction(t) for t in toks]
+    try:
+        return [Fraction(t) for t in toks]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {path}") from None
 
 
 def _parse_range(spec: str) -> tuple[int, int]:

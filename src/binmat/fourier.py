@@ -210,7 +210,10 @@ def polynomial_from_text(text: str) -> NonclassicalPolynomial:
         raise ValueError(f"expected 'n d alpha ;' header, got {head!r}")
     n, degree = int(fields[0]), int(fields[1])
     num, _, den = fields[2].partition("/")
-    alpha = TorusValue.from_fraction(Fraction(int(num), int(den or 1)))
+    den = int(den or 1)
+    if not den:
+        raise ValueError(f"zero denominator in alpha {fields[2]!r}")
+    alpha = TorusValue.from_fraction(Fraction(int(num), den))
     terms = []
     for tok in tail.split():
         vars_, _, j = tok.partition(":")

@@ -14,8 +14,8 @@ Conventions used throughout the package:
   span_step() adds one vector to such a table in place and sets the new
   points in a point mask.  One depth-first search over basis images on
   span_step, _image_search (given a per-level filter and candidate order),
-  serves LinearInjections.image_tuples, instance search and canonical forms;
-  critical numbers and the packing walk call span_step on their own.
+  serves LinearInjections.image_tuples, instance search, canonical forms and
+  critical numbers; only the packing walk calls span_step on its own.
   subspace_point_masks() walks the same echelon shapes as
   enumerate_subspaces() but yields point masks, not Subspace objects.
 * rooted_subspace_packing() does not sweep those masks: it walks the same

@@ -7,8 +7,8 @@ pattern N in a target M is an injective linear map phi with
 N(x) = M(phi(x)) for every non-star cell x of N.
 
 Everything in this module is exact: densities are fractions.  Instance
-search and canonical_form are one search over basis images, gf2._image_search,
-each with a filter that prunes on the partial span.
+search, canonical_form and critical_number are one search over basis images,
+gf2._image_search, each with a filter that prunes on the partial span.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .gf2 import (
     count_linear_injections,
     enumerate_subspaces,
     random_linear_injection,
-    span_step,
     span_table,
 )
 
@@ -554,46 +553,39 @@ def evaluations(B: Pattern) -> Iterator[Matroid]:
 
 # --- critical number --------------------------------------------------------
 
-def _max_flat_dim_in_mask(n: int, pts_mask: int) -> int:
-    """Max dimension of a linear subspace whose nonzero points all lie in
-    pts_mask (a bitmask over points, bit p-1)."""
-    count = pts_mask.bit_count()
+def critical_number(M: Matroid) -> int:
+    """Least codimension of a subspace on which M vanishes identically.
+
+    One basis-image search over the zero points, ascending.  Level i admits
+    img only if its highest bit is above every earlier image's, it has none
+    of their leading bits set, and img plus each earlier span point is a
+    zero point.  The images are then the unique reduced echelon basis of
+    their span (leading-bit pivots), and every prefix is the basis of a
+    subflat, so each all-zero flat is visited exactly once.  The search
+    stops at the first flat of dimension cap, the point-count bound.
+    """
+    n, zeros = M.dim, M.zeros_mask
+    count = zeros.bit_count()
     cap = 0
     while cap < n and (1 << (cap + 1)) - 1 <= count:
         cap += 1
-    best = 0
-    seen = set()
-    table = [0]  # the span table of the current flat; span_step grows it
+    leads = [0] * (cap + 1)  # leads[i]: the leading bits of the first i images
+    best = 0  # the deepest level admitted: the largest all-zero flat seen
 
-    def rec(span_mask: int, dim: int, min_next: int) -> None:
+    def admits(i: int, img: int, table: list[int]) -> bool:
         nonlocal best
-        if dim > best:
-            best = dim
-        if best >= cap:
-            return
-        span_pts = table[1:1 << dim]
-        for p in range(min_next, (1 << n)):
-            pb = 1 << (p - 1)
-            if not pts_mask & pb or span_mask & pb:
-                continue
-            for q in span_pts:  # the coset p + span must lie in pts_mask
-                if not (pts_mask >> ((q ^ p) - 1)) & 1:
-                    break
-            else:
-                new_mask = span_step(table, dim, p, span_mask)
-                if new_mask not in seen:
-                    seen.add(new_mask)
-                    rec(new_mask, dim + 1, p + 1)
-                    if best >= cap:
-                        return
+        lead = leads[i]
+        if img.bit_length() <= lead.bit_length() or img & lead:
+            return False
+        for x in range(1, 1 << i):
+            if not (zeros >> ((table[x] ^ img) - 1)) & 1:
+                return False
+        leads[i + 1] = lead | 1 << (img.bit_length() - 1)
+        best = max(best, i + 1)
+        return True
 
-    rec(0, 0, 1)
-    return best
-
-
-def critical_number(M: Matroid) -> int:
-    """Least codimension of a subspace on which M vanishes identically."""
-    return M.dim - _max_flat_dim_in_mask(M.dim, M.zeros_mask)
+    next(_image_search(cap, n, admits, _mask_points(zeros)), None)
+    return n - best
 
 
 # --- extension operators ----------------------------------------------------

@@ -323,6 +323,16 @@ def test_star_pattern_rejected_where_matroid_needed(capsys, tmp_path):
     assert code == 1 and "wildcard" in err
 
 
+def test_values_file_zero_denominator(capsys, tmp_path):
+    path = tmp_path / "f.vals"
+    path.write_text("1/2 1/0 0\n")
+    for argv in (["structured"], ["decomp-probe", "--d", "1", "--k", "1"]):
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 1 and out == ""
+        assert "binmat: error: zero denominator" in err
+        assert "Traceback" not in err
+
+
 def test_missing_values_file(capsys):
     code, _, _ = run(capsys, "structured", "--input", "/nonexistent/f.vals")
     assert code == 1

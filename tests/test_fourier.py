@@ -116,6 +116,11 @@ def test_polynomial_text_roundtrip():
     assert polynomial_from_text("2 1 0/1 ;") == NonclassicalPolynomial.build(2, 1)
 
 
+def test_polynomial_text_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        polynomial_from_text("3 2 1/0 ;")
+
+
 def test_polynomial_values_are_dyadic_with_bounded_denominator():
     for P in enumerate_normal_form_polynomials(2, 2):
         for x in range(4):
