@@ -11,8 +11,8 @@ Conventions used throughout the package:
   unique per subspace, so equality and hashing are structural.
 * Every span is computed by one kernel.  span_table(vectors) doubles a list
   so that table[x] is the XOR of vectors[i] over the set bits i of x;
-  span_step() adds one vector to such a table in place and sets the new
-  points in a point mask.  One depth-first search over basis images on
+  span_step() adds one vector to such a table in place and returns the
+  new points.  One depth-first search over basis images on
   span_step, _image_search (given a per-level filter and candidate order),
   serves LinearInjections.image_tuples, instance search, canonical forms and
   critical numbers; only the packing walk calls span_step on its own.
@@ -41,7 +41,7 @@ from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -109,14 +109,14 @@ def span_table(vectors: Sequence[int]) -> list[int]:
     return table
 
 
-def span_step(table: list[int], level: int, v: int, mask: int) -> int:
+def span_step(table: list[int], level: int, v: int) -> list[int]:
     """Add v as the level-th vector of a span table, in place: table[2^level
     : 2^(level+1)] becomes table[:2^level] XOR v (a table of exactly 2^level
-    entries grows).  Returns mask (over points, bit p-1) with the new points
-    set; v must lie outside the span so far."""
+    entries grows).  Returns the new points; v must lie outside the span so
+    far."""
     half = 1 << level
     table[half:half << 1] = new = [p ^ v for p in table[:half]]
-    return mask | _points_mask(new)
+    return new
 
 
 def _span_mask(vectors: Sequence[int]) -> int:
@@ -124,12 +124,19 @@ def _span_mask(vectors: Sequence[int]) -> int:
     return _points_mask(span_table(vectors)[1:])
 
 
-def _points_mask(points: Iterable[int]) -> int:
+def _points_mask(points: Collection[int]) -> int:
     """The mask with bit p-1 set for each point p; inverse of _mask_points."""
-    mask = 0
+    if len(points) <= 64:  # one OR per point is fastest on a few points
+        mask = 0
+        for p in points:
+            mask |= 1 << (p - 1)
+        return mask
+    # each OR copies the mask, so many points are set in a digit string
+    top = max(points)
+    digits = bytearray(b"0") * top  # bit p-1 is digit top - p
     for p in points:
-        mask |= 1 << (p - 1)
-    return mask
+        digits[top - p] = 49  # ord("1")
+    return int(digits, 2)
 
 
 def _mask_points(mask: int) -> list[int]:
@@ -557,22 +564,27 @@ def _image_search(
         order = range(1, 1 << n)
     images = [0] * d
     table = [0]  # the span table of images[:i]; span_step grows it
+    # the points spanned by images[:i]; a bit test on a point mask would
+    # copy the mask, which made searches over 2^n points quadratic
+    spanned: set[int] = set()
 
-    def rec(i: int, mask: int) -> Iterator[tuple[int, ...]]:
-        # mask: the points (bit p-1) spanned by images[:i]
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
         last = i == d - 1  # the last span is never read
         for img in order:
-            if (mask >> (img - 1)) & 1:
+            if img in spanned:
                 continue
             if admits is not None and not admits(i, img, table):
                 continue
             images[i] = img
             if last:
                 yield tuple(images)
-            else:
-                yield from rec(i + 1, span_step(table, i, img, mask))
+                continue
+            new = span_step(table, i, img)
+            spanned.update(new)
+            yield from rec(i + 1)
+            spanned.difference_update(new)
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
 def random_linear_injection(d: int, n: int, rng) -> LinearMap:
@@ -637,7 +649,7 @@ def rooted_subspace_packing(U: Subspace, W: Subspace, V_dim: int) -> list[Subspa
             blocked |= mask & ~u_mask
             return
         for row in rows[level]:
-            grown = span_step(table, level, row, mask)
+            grown = mask | _points_mask(span_step(table, level, row))
             if not grown & blocked:
                 basis[level] = row
                 walk(rows, level + 1, grown)

@@ -11,23 +11,24 @@ Membership in Forb is "no constraint active".  One exact engine counts
 members: a bit-packed sweep over all 2^(2^n - 1) tables, 64 tables per
 uint64 word.  The low 6 table bits are the bit inside a word, so each
 constraint marks a precomputed word mask; the next MID_BITS table bits
-index a strided (2,)*MID_BITS view of a chunk of words, and the remaining
-high bits pick the chunk.  A constraint is OR-ed into the chunk only when
-its high bits agree with the chunk's, and np.bitwise_count counts the
-tables left unmarked.  The chunks are split across the cores in the
-process's CPU affinity, one thread with its own buffers per core, and the
-per-thread counts, exact integers, are summed.  Pinned points
-(free-extension counting, Core membership) are substituted into the
-constraints before the sweep, which then runs over the free points only;
-with none free, the one table is searched directly.  The isomorphism-class
-census runs the same sweep once per conjugacy class of GL(n,2), with one
-table bit per cycle.
+index a strided (2,)*MID_BITS view of a buffer of words, and the remaining
+H high bits pick the chunk.  The chunk bits are walked as a binary tree,
+depth first, on one stack of H + 1 buffers: the root marks the constraints
+with no chunk bit, and each node copies its parent's buffer and marks only
+the constraints its own bit decides last and its prefix agrees with, so a
+constraint is marked once per subtree, not once per chunk.  At a leaf
+np.bitwise_count counts the tables left unmarked.  The walk is one thread:
+a second thread would need a second stack, and small strided ORs do not
+overlap across threads.  Pinned points (free-extension counting, Core
+membership) are substituted into the constraints before the sweep, which
+then runs over the free points only; with none free, the one table is
+searched directly.  The isomorphism-class census runs the same sweep once
+per conjugacy class of GL(n,2), with one table bit per cycle.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -159,7 +160,7 @@ def _merged_constraints(patterns: Sequence[Pattern], n: int) -> tuple:
 # --- engine --------------------------------------------------------------------
 
 WORD_BITS = 6  # 64 tables per uint64 word
-MID_BITS = 17  # 2^17 words (1 MiB) per chunk buffer
+MID_BITS = 15  # 2^15 words (256 KiB) per buffer, one buffer per depth of the chunk tree
 
 
 def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
@@ -182,74 +183,76 @@ def _word_mask(oq: int, zq: int) -> np.uint64:
     return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
 
 
-def _plan(mid: int, constraints) -> list:
-    """Per constraint: the chunk bits it needs (ones, zeros), the index of
-    the words it touches in the (2,)*mid view, and its word mask."""
+def _plan(mid: int, high: int, constraints) -> list:
+    """The constraints filed by depth in the tree over the high chunk bits:
+    depth 0 holds those with no chunk bit, depth d > 0 those whose highest
+    chunk bit is bit d - 1.  Each entry is the chunk bits the constraint
+    needs (ones, zeros), the index of the words it touches in the (2,)*mid
+    view of a buffer, and its word mask."""
     low = (1 << WORD_BITS) - 1
-    plan = []
+    shift = WORD_BITS + mid
+    plan = [[] for _ in range(high + 1)]
     for oq, zq in constraints:
         idx = []
         for axis in range(mid):
-            bit = 1 << (WORD_BITS + mid - 1 - axis)
+            bit = 1 << (shift - 1 - axis)
             idx.append(1 if oq & bit else 0 if zq & bit else slice(None))
-        shift = WORD_BITS + mid
-        plan.append((oq >> shift, zq >> shift, tuple(idx), _word_mask(oq & low, zq & low)))
+        oh, zh = oq >> shift, zq >> shift
+        idx.append(...)  # so indexing gives a view, never a scalar, even when mid = 0
+        plan[(oh | zh).bit_length()].append((oh, zh, tuple(idx), _word_mask(oq & low, zq & low)))
     return plan
 
 
 def _sweep(nbits: int, forbid, require=()) -> tuple[int, int]:
     """Sweep all 2^nbits tables, 64 per uint64 word (table t is bit t % 64
-    of word t // 64), one chunk of up to 2^MID_BITS words at a time, and
-    return (tables on which no forbid constraint holds, those of them on
-    which some require constraint holds).  Word w of chunk c holds tables
-    (c * 2^mid + w) * 64 + j, j < 64.  The constraints must have been
-    through _substitute.
+    of word t // 64), and return (tables on which no forbid constraint
+    holds, those of them on which some require constraint holds).  The
+    constraints must have been through _substitute.
 
-    The chunks are split across the cores in the CPU affinity: worker r of
-    w takes chunks r, r + w, r + 2w, ... (interleaved, since chunks with
-    more high bits set activate more all-ones constraints) into its own
-    buffers, and the exact per-worker counts are summed.  The numpy ops
-    that dominate a chunk release the GIL, so threads suffice."""
+    Word w of chunk c holds tables (c * 2^mid + w) * 64 + j, j < 64.  The
+    bits of c are walked depth first, lowest first, with one buffer of 2^mid
+    words per depth: a node copies its parent's buffer and ORs in the
+    constraints of its depth (see _plan) that agree with its prefix, c mod
+    2^depth.  OR is idempotent and order-free, so each leaf marks exactly the
+    tables of its chunk on which some constraint holds.  A require plan has
+    its own stack, AND-ed with the members at the leaves."""
     mid = max(0, min(MID_BITS, nbits - WORD_BITS))
-    chunks = 1 << max(0, nbits - WORD_BITS - mid)
+    high = max(0, nbits - WORD_BITS - mid)
     valid = np.uint64((1 << (1 << min(nbits, WORD_BITS))) - 1)
-    forbid_plan = _plan(mid, forbid)
-    require_plan = _plan(mid, require) if require else None
-
-    def mark(out, plan, c):
-        out.fill(0)
-        view = out.reshape((2,) * mid)
-        for oh, zh, idx, wm in plan:
-            if c & oh == oh and not c & zh:
-                view[idx] |= wm
-
-    def run(first: int, step: int) -> tuple[int, int]:
-        words = np.empty(1 << mid, dtype=np.uint64)
-        hits = np.empty(1 << mid, dtype=np.uint64) if require else None
-        total = hold = 0
-        for c in range(first, chunks, step):
-            mark(words, forbid_plan, c)
-            np.invert(words, out=words)
-            words &= valid
-            total += int(np.bitwise_count(words).sum())
-            if require:
-                mark(hits, require_plan, c)
-                hits &= words
-                hold += int(np.bitwise_count(hits).sum())
-        return total, hold
-
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        cores = os.cpu_count() or 1
-    workers = min(cores, chunks)
-    if workers == 1:
-        return run(0, 1)
-    from concurrent.futures import ThreadPoolExecutor  # only multi-chunk sweeps pay for it
-
-    with ThreadPoolExecutor(workers) as pool:
-        parts = list(pool.map(run, range(workers), [workers] * workers))
-    return sum(t for t, _ in parts), sum(h for _, h in parts)
+    plans = [_plan(mid, high, forbid)]
+    if require:
+        plans.append(_plan(mid, high, require))
+    stacks = [np.empty((high + 1, 1 << mid), dtype=np.uint64) for _ in plans]
+    views = [[row.reshape((2,) * mid) for row in stack] for stack in stacks]
+    total = hold = 0
+    todo = [(0, 0)]  # (depth, prefix) of the nodes still to visit
+    while todo:
+        depth, prefix = todo.pop()
+        for plan, stack, view in zip(plans, stacks, views):
+            if depth:
+                np.copyto(stack[depth], stack[depth - 1])
+            else:
+                stack[0].fill(0)
+            for oh, zh, idx, wm in plan[depth]:
+                if prefix & oh == oh and not prefix & zh:
+                    marked = view[depth][idx]  # `view[idx] |= wm` would write it back again
+                    marked |= wm
+        if depth < high:
+            # the second child is popped after the first child's subtree,
+            # which writes only deeper buffers, so stack[depth] is still this
+            # node's when the second child copies it
+            todo.append((depth + 1, prefix | 1 << depth))
+            todo.append((depth + 1, prefix))
+            continue
+        words = stacks[0][high]
+        np.invert(words, out=words)
+        words &= valid
+        total += int(np.bitwise_count(words).sum())
+        if require:
+            hits = stacks[1][high]
+            hits &= words
+            hold += int(np.bitwise_count(hits).sum())
+    return total, hold
 
 
 def _check_free_bits(free: int) -> None:
@@ -371,7 +374,7 @@ def property_critical_number(P: LocalProperty) -> int:
             if phi is None:
                 continue
             keep = N.ones if side == 0 else N.zeros
-            placed = _points_mask(phi.apply_bits(x) for x in _mask_points(keep))
+            placed = _points_mask([phi.apply_bits(x) for x in _mask_points(keep)])
             if side == 0:
                 witness = Matroid(d, placed)
             else:
@@ -669,7 +672,7 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
         cycle, cycles = _cycle_numbers(span_table(columns))
 
         def on_cycles(mask: int) -> int:
-            return _points_mask(cycle[p] for p in _mask_points(mask))
+            return _points_mask([cycle[p] for p in _mask_points(mask)])
 
         forbid = _substitute([(on_cycles(oq), on_cycles(zq)) for oq, zq in constraints], 0, 0)
         fixed, _ = _sweep(cycles, forbid)

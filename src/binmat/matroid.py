@@ -307,7 +307,7 @@ def restrict(obj, W: Subspace):
     pts = span_table(W.basis)
 
     def pull_back(mask: int) -> int:
-        return _points_mask(y for y in range(1, len(pts)) if (mask >> (pts[y] - 1)) & 1)
+        return _points_mask([y for y in range(1, len(pts)) if (mask >> (pts[y] - 1)) & 1])
 
     if isinstance(obj, Matroid):
         return Matroid(W.dim, pull_back(obj.table))
@@ -547,7 +547,7 @@ def evaluations(B: Pattern) -> Iterator[Matroid]:
         )
     stars = _mask_points(B.stars)
     for bits in range(1 << len(stars)):
-        filled = _points_mask(p for j, p in enumerate(stars) if (bits >> j) & 1)
+        filled = _points_mask([p for j, p in enumerate(stars) if (bits >> j) & 1])
         yield Matroid(B.dim, B.ones | filled)
 
 
@@ -571,6 +571,10 @@ def critical_number(M: Matroid) -> int:
         cap += 1
     leads = [0] * (cap + 1)  # leads[i]: the leading bits of the first i images
     best = 0  # the deepest level admitted: the largest all-zero flat seen
+    order = _mask_points(zeros)
+    is_zero = bytearray(1 << n)  # is_zero[p]: p is a zero point; O(1), unlike a shift of zeros
+    for p in order:
+        is_zero[p] = 1
 
     def admits(i: int, img: int, table: list[int]) -> bool:
         nonlocal best
@@ -578,13 +582,13 @@ def critical_number(M: Matroid) -> int:
         if img.bit_length() <= lead.bit_length() or img & lead:
             return False
         for x in range(1, 1 << i):
-            if not (zeros >> ((table[x] ^ img) - 1)) & 1:
+            if not is_zero[table[x] ^ img]:
                 return False
         leads[i + 1] = lead | 1 << (img.bit_length() - 1)
         best = max(best, i + 1)
         return True
 
-    next(_image_search(cap, n, admits, _mask_points(zeros)), None)
+    next(_image_search(cap, n, admits, order), None)
     return n - best
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -182,7 +183,7 @@ def test_span_table_matches_apply_bits_and_combination(vectors):
     assert span_table(S.basis) == [basis_map.apply_bits(c) for c in range(1 << S.dim)]
     grown, mask = [0] * (1 << S.dim), 0
     for level, v in enumerate(S.basis):
-        mask = span_step(grown, level, v, mask)
+        mask |= _points_mask(span_step(grown, level, v))
     assert grown == span_table(S.basis) and mask == S.point_mask
 
 
@@ -205,6 +206,34 @@ def test_points_mask_inverts_mask_points(mask, points):
     assert _mask_points(mask) == mask_points_bit_walk(mask)
     assert _points_mask(_mask_points(mask)) == mask
     assert _mask_points(_points_mask(points)) == sorted(points)
+
+
+def points_mask_loop(points) -> int:
+    """_points_mask as first written: one OR per point (quadratic in the
+    mask width, since each OR copies the mask)."""
+    mask = 0
+    for p in points:
+        mask |= 1 << (p - 1)
+    return mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 1000), max_size=200))
+@example([])
+@example(list(range(1, 65)))
+@example(list(range(1, 66)))
+def test_points_mask_matches_loop(points):
+    # repeats allowed; more than 64 points take the digit-string path
+    assert _points_mask(points) == points_mask_loop(points)
+    assert _points_mask(tuple(reversed(points))) == points_mask_loop(points)
+
+
+def test_points_mask_is_linear():
+    # 2^18 - 1 points: one OR per point took about 0.6 s on a 2-core box
+    points = list(range(1, 1 << 18))
+    start = time.perf_counter()
+    assert _points_mask(points) == (1 << ((1 << 18) - 1)) - 1
+    assert time.perf_counter() - start < 0.3
 
 
 def test_point_mask_matches_spanned_points_dim5():

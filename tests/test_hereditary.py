@@ -1,7 +1,11 @@
 import random
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +121,24 @@ def test_census_row_json():
     assert d == {"n": 4, "count": "3049", "entropy": pytest.approx(11.574120435)}
 
 
+def test_census_two_point_constraints_n5():
+    # Forb(BB:1:2) forbids any two one-points, so its members are the
+    # tables of weight at most one: 465 two-point constraints, each holding
+    # on a quarter of the tables.  The flat chunk loop took 5.5 s on a
+    # 2-core box
+    BB = bp("BB:1:2")
+    P = forb(BB)
+    cons = instance_constraints(BB, 5)
+    assert len(cons) == 465
+    start = time.perf_counter()
+    assert count_members(5, cons) == (32, 0)
+    assert time.perf_counter() - start < 3
+    assert all(contains(P, Matroid(5, t)) for t in [0] + [1 << b for b in range(31)])
+    assert not contains(P, Matroid(5, 1 << 30 | 1))
+    for n in (1, 2, 3):
+        assert census(P, n).count == naive_census(P, n) == 1 << n
+
+
 def test_census_cap():
     with pytest.raises(BudgetExceeded):
         census(forb(O2), 6)
@@ -152,28 +174,84 @@ def constraint_lists(n):
         lambda p: p[0] + p[1])
 
 
-# a small MID_BITS splits even 7- and 15-point sweeps into many chunks
+# a small MID_BITS splits even 7- and 15-point sweeps into deep chunk trees
 mid_bits = st.sampled_from([hereditary.MID_BITS, 3, 1, 0])
-cores = st.sampled_from([1, 2, 3])  # 3 splits unevenly, and can exceed the chunks
-
-
-def on_cores(k):
-    """Make the engine see k cores in its CPU affinity."""
-    return mock.patch.object(hereditary.os, "sched_getaffinity", lambda pid: set(range(k)))
 
 
 @pytest.mark.parametrize("n", range(5))  # 0, 1, 3, 7 or 15 points
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), mid=mid_bits, k=cores)
-def test_count_members_matches_oracle(n, data, mid, k):
+@given(data=st.data(), mid=mid_bits)
+def test_count_members_matches_oracle(n, data, mid):
     forbid = data.draw(constraint_lists(n))
     require = data.draw(constraint_lists(n))
     fixed_points = data.draw(st.integers(0, (1 << n) - 1))
     fixed_ones = data.draw(point_sets(n))
     members, hold = oracle_members(n, forbid, require, fixed_points, fixed_ones)
-    with mock.patch.object(hereditary, "MID_BITS", mid), on_cores(k):
+    with mock.patch.object(hereditary, "MID_BITS", mid):
         got = count_members(n, forbid, require, fixed_points, fixed_ones)
     assert got == (len(members), hold)
+
+
+# --- the chunk tree against the flat chunk loop it replaced ----------------------
+
+FLAT_MID_BITS = 17  # the flat loop's chunks: 2^17 words (1 MiB)
+
+
+def flat_plan(mid, constraints):
+    """Per constraint: the chunk bits it needs (ones, zeros), the index of
+    the words it touches in the (2,)*mid view, and its word mask."""
+    low = (1 << 6) - 1
+    plan = []
+    for oq, zq in constraints:
+        idx = []
+        for axis in range(mid):
+            bit = 1 << (6 + mid - 1 - axis)
+            idx.append(1 if oq & bit else 0 if zq & bit else slice(None))
+        shift = 6 + mid
+        wm = sum(1 << j for j in range(64) if j & oq & low == oq & low and not j & zq & low)
+        plan.append((oq >> shift, zq >> shift, tuple(idx), np.uint64(wm)))
+    return plan
+
+
+def flat_sweep(nbits, forbid, require=()):
+    """The sweep as a flat loop over the chunks, one worker: every chunk
+    zero-fills its buffer and ORs in every constraint whose chunk bits
+    agree with its own.  Same contract as hereditary._sweep."""
+    mid = max(0, min(FLAT_MID_BITS, nbits - 6))
+    chunks = 1 << max(0, nbits - 6 - mid)
+    valid = np.uint64((1 << (1 << min(nbits, 6))) - 1)
+    forbid_plan = flat_plan(mid, forbid)
+    require_plan = flat_plan(mid, require)
+
+    def mark(out, plan, c):
+        out.fill(0)
+        view = out.reshape((2,) * mid)
+        for oh, zh, idx, wm in plan:
+            if c & oh == oh and not c & zh:
+                view[idx] |= wm
+
+    words = np.empty(1 << mid, dtype=np.uint64)
+    hits = np.empty(1 << mid, dtype=np.uint64)
+    total = hold = 0
+    for c in range(chunks):
+        mark(words, forbid_plan, c)
+        np.invert(words, out=words)
+        words &= valid
+        total += int(np.bitwise_count(words).sum())
+        mark(hits, require_plan, c)
+        hits &= words
+        hold += int(np.bitwise_count(hits).sum())
+    return total, hold
+
+
+def test_flat_sweep_matches_oracle():
+    # the flat loop itself against brute force, on one chunk and on 64
+    forbid = instance_constraints(O2, 4) + ((1 << 14 | 1, 2),)
+    require = ((0, 0b111), (1 << 12, 0))
+    members, hold = oracle_members(4, forbid, require)
+    assert flat_sweep(15, forbid, require) == (len(members), hold)
+    with mock.patch.object(sys.modules[__name__], "FLAT_MID_BITS", 3):
+        assert flat_sweep(15, forbid, require) == (len(members), hold)
 
 
 def short_constraint_lists(n):
@@ -186,36 +264,67 @@ def short_constraint_lists(n):
     return st.lists(pair, max_size=8)
 
 
+def bit_constraint_lists(nbits):
+    """Up to eight short (oq, zq) pairs, each on the word bits only, on the
+    chunk bits only, on both, or anywhere, plus at most one pair that is
+    either the empty constraint (0, 0) or raw (it may ask a bit to be both
+    one and zero)."""
+    word = list(range(6))
+    chunk = list(range(6 + hereditary.MID_BITS, nbits))
+    regions = st.sampled_from([word, chunk, word + chunk, list(range(nbits))])
+    cells = regions.flatmap(lambda bits: st.lists(
+        st.tuples(st.sampled_from(bits), st.booleans()),
+        min_size=1, max_size=4, unique_by=lambda cell: cell[0]))
+    pair = cells.map(lambda cs: (sum(1 << b for b, one in cs if one),
+                                 sum(1 << b for b, one in cs if not one)))
+    masks = st.sets(st.integers(0, nbits - 1), max_size=3).map(lambda s: sum(1 << b for b in s))
+    extra = st.one_of(st.just((0, 0)), st.tuples(masks, masks))
+    return st.tuples(st.lists(pair, max_size=8), st.lists(extra, max_size=1)).map(
+        lambda p: p[0] + p[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), nbits=st.sampled_from([25, 26]), with_require=st.booleans())
+def test_sweep_matches_flat_loop(data, nbits, with_require):
+    # a chunk tree of depth 4 or 5; the flat loop sees 1 or 2 MiB chunks
+    forbid = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
+    require = ()
+    if with_require:
+        require = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
+    assert hereditary._sweep(nbits, forbid, require) == flat_sweep(nbits, forbid, require)
+
+
 @settings(max_examples=12, deadline=None)
-@given(data=st.data(), k=st.sampled_from([2, 3]), fixed_points=st.sampled_from([5, 6]))
-def test_multi_chunk_sweep_matches_one_core(data, k, fixed_points):
-    # 25 or 26 free points: 4 or 8 chunks of 2^MID_BITS words
+@given(data=st.data(), fixed_points=st.sampled_from([5, 6]))
+def test_multi_chunk_sweep_matches_flat_loop(data, fixed_points):
+    # 25 or 26 free points: a chunk tree of depth 4 or 5
     forbid = data.draw(short_constraint_lists(5))
     require = data.draw(short_constraint_lists(5))  # may be empty: forbid only
     fixed_ones = data.draw(point_sets(5))
-    args = (5, forbid, require, fixed_points, fixed_ones)
-    with on_cores(1):
-        want = count_members(*args)
-    with on_cores(k):
-        assert count_members(*args) == want
+    free = 31 - fixed_points
+    want = flat_sweep(free, hereditary._substitute(forbid, fixed_points, fixed_ones),
+                      hereditary._substitute(require, fixed_points, fixed_ones))
+    assert count_members(5, forbid, require, fixed_points, fixed_ones) == want
 
 
-def test_sweep_pool_only_past_one_chunk(monkeypatch):
-    import concurrent.futures
-
-    spy = mock.Mock(wraps=concurrent.futures.ThreadPoolExecutor)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
-    one_chunk = 6 + hereditary.MID_BITS
-    with on_cores(4):
-        assert hereditary._sweep(one_chunk, ((1, 0),)) == (1 << (one_chunk - 1), 0)
-        assert spy.call_count == 0
-        got = hereditary._sweep(one_chunk + 1, ((1, 0),), ((2, 0),))
-        assert got == (1 << one_chunk, 1 << (one_chunk - 1))
-        spy.assert_called_once_with(2)  # never more workers than chunks
-    monkeypatch.delattr(hereditary.os, "sched_getaffinity")  # no affinity: cpu_count
-    monkeypatch.setattr(hereditary.os, "cpu_count", lambda: 3)
-    assert hereditary._sweep(one_chunk + 2, ((1, 0),)) == (1 << (one_chunk + 1), 0)
-    assert spy.call_args == mock.call(3)
+@pytest.mark.parametrize("nbits", [26, 31])
+def test_sweep_memory_is_one_stack_per_plan(nbits):
+    # one buffer of 2^MID_BITS words per depth of the chunk tree, and a
+    # second stack only for a require plan; a second thread would need
+    # stacks of its own.  The slack is less than one more buffer, and the
+    # stacks are freed on return, not at the next garbage collection
+    buffer = 8 << hereditary.MID_BITS
+    stack = (nbits - 6 - hereditary.MID_BITS + 1) * buffer
+    for require, plans in (((), 1), (((2, 0),), 2)):
+        tracemalloc.start()
+        try:
+            got = hereditary._sweep(nbits, ((1, 0),), require)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (1 << (nbits - 1), (1 << (nbits - 2)) * bool(require))
+        assert plans * stack <= peak < plans * stack + buffer
+        assert left < buffer
 
 
 def test_count_members_edge_constraints():

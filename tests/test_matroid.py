@@ -593,6 +593,16 @@ def test_critical_number_weight1_dim14():
     assert time.perf_counter() - start < 2
 
 
+def test_critical_number_constant_dim18():
+    # 2^18 - 1 zero points, one image admitted per level: testing a bit of a
+    # point mask by shifting it copied the mask, so this took 2.5-2.75 s on
+    # a 2-core box
+    start = time.perf_counter()
+    assert critical_number(Matroid.constant(18, 0)) == 0
+    assert critical_number(Matroid.constant(18, 1)) == 18
+    assert time.perf_counter() - start < 1
+
+
 # --- extensions -------------------------------------------------------------------
 
 def dim_k_extensions(M, k):
