@@ -26,7 +26,8 @@ Conventions used throughout the package:
   same members.
 * The conjugacy classes of GL(n, 2) come from rational canonical forms,
   with class sizes from centralizer orders (Kung 1981; Macdonald,
-  Symmetric Functions and Hall Polynomials, ch. IV), for orbit counting.
+  Symmetric Functions and Hall Polynomials, ch. IV), for orbit counting;
+  the transvections' point permutations generate GL(n, 2), for orbits.
 * Enumeration APIs are exact and require n <= 31 structurally (tables and
   point masks are built from 2**n - 1 bits).  Practical caps: n <=
   SUBSPACE_ENUM_MAX_DIM (8) for subspace enumeration, n <= 6 for
@@ -358,6 +359,17 @@ def count_linear_injections(d: int, n: int) -> int:
     if d > n:
         return 0
     return math.prod((1 << n) - (1 << i) for i in range(d))
+
+
+@lru_cache(maxsize=None)
+def _transvection_perms(n: int) -> tuple[tuple[int, ...], ...]:
+    """The point permutations of the transvections x -> x ^ (x_i e_j), i != j,
+    of F_2^n: perm[x] is the image of x (perm[0] = 0).  They generate GL(n, 2)
+    (which is SL(n, 2) over GF(2)), and each is an involution."""
+    return tuple(
+        tuple(x ^ (1 << j) if x >> i & 1 else x for x in range(1 << n))
+        for i in range(n) for j in range(n) if i != j
+    )
 
 
 def _poly_mul(a: int, b: int) -> int:

@@ -7,6 +7,8 @@ Counting engine
 A forbidden pattern N induces, per ambient dimension n, a finite set of
 *instance constraints*: pairs of point masks (oq, zq) such that a matroid
 with one-mask t contains that instance iff t & oq == oq and t & zq == 0.
+They are built once per subspace: N's point sets under GL(dim N, 2) are
+mapped through the span table of each subspace's echelon basis.
 Membership in Forb is "no constraint active".  One exact engine counts
 members: a bit-packed sweep over all 2^(2^n - 1) tables, 64 tables per
 uint64 word.  The low 6 table bits are the bit inside a word, so each
@@ -22,8 +24,16 @@ a second thread would need a second stack, and small strided ORs do not
 overlap across threads.  Pinned points (free-extension counting, Core
 membership) are substituted into the constraints before the sweep, which
 then runs over the free points only; with none free, the one table is
-searched directly.  The isomorphism-class census runs the same sweep once
-per conjugacy class of GL(n,2), with one table bit per cycle.
+searched directly.
+
+The unpinned counts (census, count_critical_at_most, the typical-structure
+fraction) do not sweep all 2^n - 1 points: their constraint sets are
+GL(n,2)-invariant, so they count by hyperplane transfer (_transfer).  F_2^n
+splits into the hyperplane H = F_2^(n-1) and its coset C; the tables on H
+fall into GL(n-1,2)-orbits (46 at n = 5), and each orbit costs one sweep of
+the 2^(n-1) coset bits, weighted by the orbit size.  The isomorphism-class
+census runs the sweep once per conjugacy class of GL(n,2), with one table
+bit per cycle, and its identity term by the transfer.
 """
 
 from __future__ import annotations
@@ -40,11 +50,13 @@ import numpy as np
 from .errors import BudgetExceeded
 from .gf2 import (
     SUBSPACE_ENUM_MAX_DIM,
-    LinearInjections,
     Subspace,
+    _echelon_bases,
     _gl_conjugacy_classes,
+    _image_search,
     _mask_points,
     _points_mask,
+    _transvection_perms,
     count_linear_injections,
     span_table,
     subspace_point_masks,
@@ -124,29 +136,38 @@ class CensusRow:
 
 
 @lru_cache(maxsize=None)
+def _pattern_orbit(N: Pattern) -> tuple:
+    """The distinct (ones, zeros) point tuples of N moved by each g in
+    GL(dim N, 2), from one walk over the group."""
+    ones, zeros = _mask_points(N.ones), _mask_points(N.zeros)
+    seen = set()
+    for images in _image_search(N.dim, N.dim):
+        g = span_table(images)
+        seen.add((_points_mask([g[x] for x in ones]), _points_mask([g[x] for x in zeros])))
+    return tuple((tuple(_mask_points(o)), tuple(_mask_points(z))) for o, z in seen)
+
+
+@lru_cache(maxsize=None)
 def instance_constraints(N: Pattern, n: int) -> tuple:
     """Distinct (ones_mask, zeros_mask) pairs over all embeddings of N into
     dimension n: a table t contains an N-instance iff some pair is active
-    (t & oq == oq and t & zq == 0)."""
+    (t & oq == oq and t & zq == 0).
+
+    The injections with image a subspace S are B o g, for B the map onto S's
+    echelon basis and g in GL(dim N, 2), so each of N's point sets under the
+    group (_pattern_orbit) is mapped once through each subspace's span table.
+    """
     d = N.dim
     if d > n:
         return ()
     if d == 0:
         return ((0, 0),)
-    one_pts = [p for p in range(1, N.n_points + 1) if N.value_bits(p) == 1]
-    zero_pts = [p for p in range(1, N.n_points + 1) if N.value_bits(p) == 0]
+    orbit = _pattern_orbit(N)
     seen = set()
-    # the masks are built inline, not with gf2._points_mask: two generator
-    # calls per injection made ones:3 at n=5 about 30% slower (107 -> 140 ms)
-    for images in LinearInjections(d, n).image_tuples():
-        phi = span_table(images)
-        oq = 0
-        for x in one_pts:
-            oq |= 1 << (phi[x] - 1)
-        zq = 0
-        for x in zero_pts:
-            zq |= 1 << (phi[x] - 1)
-        seen.add((oq, zq))
+    for basis in _echelon_bases(n, d):
+        phi = span_table(basis)
+        for ones, zeros in orbit:
+            seen.add((_points_mask([phi[x] for x in ones]), _points_mask([phi[x] for x in zeros])))
     return tuple(sorted(seen))
 
 
@@ -178,6 +199,7 @@ def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
     return tuple(kept)
 
 
+@lru_cache(maxsize=None)  # at most 64 * 64 distinct arguments
 def _word_mask(oq: int, zq: int) -> np.uint64:
     """Bit j set iff the table with low bits j satisfies (oq, zq) there."""
     return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
@@ -284,6 +306,75 @@ def count_members(
     return _sweep(free, forbid, require)
 
 
+@lru_cache(maxsize=None)
+def _table_orbits(m: int) -> tuple[tuple[int, int], ...]:
+    """One (least table, orbit size) pair per GL(m, 2)-orbit of the
+    2^(2^m - 1) tables on F_2^m, for m <= 4.
+
+    A numpy union-find: each table's uint16 label drops to the least label
+    one transvection away (each is an involution, so the edges are
+    symmetric), then jumps to its label's label, until a round changes
+    nothing.  A label never rises above its table and stays in its orbit, so
+    at the fixed point every table is labeled with its orbit's least table.
+    """
+    npts = (1 << m) - 1
+    tables = np.arange(1 << npts, dtype=np.uint16)
+    moved = []  # moved[i][t]: table t moved by the i-th transvection
+    for perm in _transvection_perms(m):
+        img = np.zeros_like(tables)
+        for p in range(1, npts + 1):
+            img |= (tables >> (p - 1) & 1) << (perm[p] - 1)
+        moved.append(img)
+    label = tables.copy()
+    while True:
+        before = label.copy()
+        for img in moved:
+            np.minimum(label, label[img], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    sizes = np.bincount(label)
+    reps = np.flatnonzero(sizes)
+    return tuple(zip(reps.tolist(), sizes[reps].tolist()))
+
+
+def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) -> tuple[int, int]:
+    """count_members(n, forbid, require) for GL(n, 2)-invariant constraint
+    sets, by hyperplane transfer.
+
+    F_2^n splits into the hyperplane H = F_2^(n-1), the low 2^(n-1) - 1
+    table bits, and its coset C, the high 2^(n-1) bits.  For a table T on H,
+    the members extending T are one 2^(n-1)-bit sweep over C of the C-parts
+    of the constraints whose H-part holds on T.  The constraint sets are
+    GL(n, 2)-invariant, so invariant under GL(n - 1, 2) acting on H with
+    e_n -> e_n, which moves C onto itself: T and gT have equally many member
+    extensions.  So one sweep per GL(n - 1, 2)-orbit (_table_orbits), times
+    the orbit size, counts them all.
+    """
+    _check_free_bits((1 << n) - 1)
+    if n == 0:
+        return _sweep(0, forbid, require)
+    hbits = (1 << (n - 1)) - 1
+    low = (1 << hbits) - 1
+
+    def split(constraints):
+        return [(oq & low, zq & low, oq >> hbits, zq >> hbits) for oq, zq in constraints]
+
+    def on_coset(parts, t):
+        return _substitute([(oc, zc) for oh, zh, oc, zc in parts if t & oh == oh and not t & zh], 0, 0)
+
+    forbid, require = split(forbid), split(require)
+    total = hold = 0
+    for t, size in _table_orbits(n - 1):
+        coset_forbid = on_coset(forbid, t)
+        if (0, 0) in coset_forbid:
+            continue  # T itself holds a forbidden instance
+        members, hits = _sweep(hbits + 1, coset_forbid, on_coset(require, t))
+        total += size * members
+        hold += size * hits
+    return total, hold
+
+
 # --- censuses ----------------------------------------------------------------
 
 def census(P: LocalProperty, n: int) -> CensusRow:
@@ -293,7 +384,7 @@ def census(P: LocalProperty, n: int) -> CensusRow:
             f"exact census is capped at dim {CENSUS_MAX_DIM}; estimate by "
             f"sampling (sample_matroid + contains) instead"
         )
-    total, _ = count_members(n, _merged_constraints(P.forbidden, n))
+    total, _ = _transfer(n, _merged_constraints(P.forbidden, n))
     return CensusRow(n, total)
 
 
@@ -317,20 +408,20 @@ def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
     """|{dim-n matroids with an all-`side` subspace of codimension <= k}|.
 
     Side 0 is the critical-number family (critical_number <= k); side 1 is
-    its complement-symmetric image.  All tables minus one forbid sweep:
+    its complement-symmetric image.  All tables minus one forbid count:
     those with no such subspace.
     """
     _check_structure_args(n, k, side)
-    without, _ = count_members(n, _flat_requires(n, n - k, side))
+    without, _ = _transfer(n, _flat_requires(n, n - k, side))
     return (1 << ((1 << n) - 1)) - without
 
 
 def _structure_counts(P: LocalProperty, n: int, k: int, side: int = 0) -> tuple[int, int]:
     """(dim-n members of P, those with an all-`side` subspace of
-    codimension <= k), from one engine sweep."""
+    codimension <= k), from one engine count."""
     _check_structure_args(n, k, side)
     forbid = _merged_constraints(P.forbidden, n)
-    total, hold = count_members(n, forbid, _flat_requires(n, n - k, side))
+    total, hold = _transfer(n, forbid, _flat_requires(n, n - k, side))
     if total == 0:
         raise ValueError(f"property has no members at dim {n}; fraction undefined")
     return total, hold
@@ -661,7 +752,8 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     is (1/|GL(n,2)|) * sum_C |C| * |Fix(g_C)|.  A table is fixed by g iff
     it is constant on each cycle of g on the points, so |Fix(g)| is one
     engine sweep with one table bit per cycle, each constraint mapped onto
-    the cycles (the identity's term is the labeled census).  Raises
+    the cycles.  The identity's term is the labeled census, counted by
+    hyperplane transfer (_transfer).  Raises
     BudgetExceeded for n > CENSUS_MAX_DIM before building any constraint.
     """
     if n > CENSUS_MAX_DIM:
@@ -670,6 +762,10 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     total = 0
     for columns, size in _gl_conjugacy_classes(n):
         cycle, cycles = _cycle_numbers(span_table(columns))
+        if cycles == (1 << n) - 1:  # the identity: the labeled census
+            fixed, _ = _transfer(n, constraints)
+            total += size * fixed
+            continue
 
         def on_cycles(mask: int) -> int:
             return _points_mask([cycle[p] for p in _mask_points(mask)])

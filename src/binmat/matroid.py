@@ -307,7 +307,10 @@ def restrict(obj, W: Subspace):
     pts = span_table(W.basis)
 
     def pull_back(mask: int) -> int:
-        return _points_mask([y for y in range(1, len(pts)) if (mask >> (pts[y] - 1)) & 1])
+        on = bytearray(1 << obj.dim)  # on[p]: p is set in mask; O(1), unlike a shift of mask
+        for p in _mask_points(mask):
+            on[p] = 1
+        return _points_mask([y for y in range(1, len(pts)) if on[pts[y]]])
 
     if isinstance(obj, Matroid):
         return Matroid(W.dim, pull_back(obj.table))

@@ -208,7 +208,8 @@ def test_o2_check_row(capsys):
 def test_o2_check_sweeps_once_per_row(capsys):
     argv = ("o2-check", "--forbid", "ones3", "--n", "3:4", "--k", "2")
     _, want, _ = run(capsys, *argv)
-    with mock.patch.object(hereditary, "count_members", wraps=hereditary.count_members) as spy:
+    # one hyperplane-transfer count per row, which sweeps the coset per orbit
+    with mock.patch.object(hereditary, "_transfer", wraps=hereditary._transfer) as spy:
         code, out, _ = run(capsys, *argv)
     assert code == 0 and spy.call_count == 2
     assert out == want

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 import binmat.hereditary as hereditary
 from binmat.errors import BudgetExceeded
-from binmat.gf2 import Subspace, random_linear_injection
+from binmat.gf2 import (
+    LinearInjections,
+    Subspace,
+    _transvection_perms,
+    count_linear_injections,
+    random_linear_injection,
+    span_table,
+)
 from binmat.hereditary import (
     LocalProperty,
     census,
@@ -99,7 +106,7 @@ def test_census_matches_naive_small():
 
 def test_census_frozen_counts():
     P = forb(O2)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         assert census(P, n).count == FORB_O2_COUNTS[n]
     assert census(forb(ONES3), 4).count == FORB_ONES3_COUNT_4
 
@@ -500,6 +507,84 @@ def test_isomorphism_class_census_drops_split_cycles():
     P = forb(Pattern.from_values([1, 0, STAR]))
     for n in (2, 3, 4):
         assert isomorphism_class_census(P, n) == oracle_class_census(P, n) == 2
+
+
+# --- hyperplane transfer and instance constraints ------------------------------------
+
+def flat_lists(n):
+    """No require, or the require constraints of every all-zero or all-one
+    flat of one dimension."""
+    flats = st.tuples(st.integers(0, n), st.sampled_from([0, 1])).map(
+        lambda p: hereditary._flat_requires(n, *p))
+    return st.one_of(st.just(()), flats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), pats=st.lists(patterns(3), max_size=2), n=st.integers(0, 4))
+def test_transfer_matches_sweep(data, pats, n):
+    forbid = hereditary._merged_constraints(pats, n)
+    require = data.draw(flat_lists(n))
+    sub = hereditary._substitute
+    want = hereditary._sweep((1 << n) - 1, sub(forbid, 0, 0), sub(require, 0, 0))
+    assert hereditary._transfer(n, forbid, require) == want
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_table_orbits_certificates(m):
+    orbits = hereditary._table_orbits(m)
+    assert len(orbits) == isomorphism_class_census(forb(), m) == (1, 2, 4, 10, 46)[m]
+    assert sum(size for _, size in orbits) == 1 << ((1 << m) - 1)
+    order = count_linear_injections(m, m)
+    assert all(order % size == 0 for _, size in orbits)
+    # one representative per isomorphism class, each the least of its orbit
+    forms = [canonical_form(Matroid(m, t)).table for t, _ in orbits]
+    assert len(set(forms)) == len(orbits)
+    assert all(t <= f for (t, _), f in zip(orbits, forms))
+
+
+def injection_walk_constraints(N: Pattern, n: int) -> tuple:
+    """instance_constraints as first written: one mask pair per injection
+    of N into dimension n."""
+    if N.dim > n:
+        return ()
+    ones, zeros = hereditary._mask_points(N.ones), hereditary._mask_points(N.zeros)
+    seen = set()
+    for images in LinearInjections(N.dim, n).image_tuples():
+        phi = span_table(images)
+        seen.add((sum(1 << (phi[x] - 1) for x in ones), sum(1 << (phi[x] - 1) for x in zeros)))
+    return tuple(sorted(seen))
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=patterns(3), n=st.integers(0, 5))
+def test_instance_constraints_match_injection_walk(N, n):
+    assert instance_constraints(N, n) == injection_walk_constraints(N, n)
+
+
+def moved(constraints, perm) -> set:
+    def move(mask):
+        return sum(1 << (perm[p] - 1) for p in hereditary._mask_points(mask))
+
+    return {(move(oq), move(zq)) for oq, zq in constraints}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), N=patterns(3), n=st.integers(0, 4))
+def test_constraints_invariant_under_transvections(data, N, n):
+    cons = instance_constraints(N, n)
+    flats = data.draw(flat_lists(n))
+    for perm in _transvection_perms(n):
+        assert moved(cons, perm) == set(cons)
+        assert moved(flats, perm) == set(flats)
+
+
+def test_constraints_invariant_under_transvections_n5():
+    sets = [instance_constraints(ONES3, 5), instance_constraints(O2, 5),
+            hereditary._flat_requires(5, 3, 0), hereditary._flat_requires(5, 2, 1)]
+    assert [len(s) for s in sets] == [155, 155, 155, 155]
+    for perm in _transvection_perms(5):
+        for cons in sets:
+            assert moved(cons, perm) == set(cons)
 
 
 def test_isomorphism_class_census_n5_by_hand():
