@@ -279,7 +279,7 @@ def test_restrict_matches_shift_loop(data):
 
 
 def test_restrict_dim18_is_linear():
-    # the shift loop took 0.58 s here: each shift copied the 2^18-bit mask
+    # the shift loop took 0.58 s on this input: each shift copied the 2^18-bit mask
     rng = random.Random(18)
     M = Matroid(18, rng.getrandbits((1 << 18) - 1))
     W = Subspace.from_vectors(18, [1 << i for i in range(16)])
