@@ -7,10 +7,10 @@ Counting engine
 A forbidden pattern N induces, per ambient dimension n, a finite set of
 *instance constraints*: pairs of point masks (oq, zq) such that a matroid
 with one-mask t contains that instance iff t & oq == oq and t & zq == 0.
-They are built once per subspace: N's point sets under GL(dim N, 2) are
-mapped through the span table of each subspace's echelon basis.
-Membership in Forb is "no constraint active".  One exact engine counts
-members: a bit-packed sweep over all 2^(2^n - 1) tables, 64 tables per
+They are built once per subspace: N's orbit under the transvections is
+mapped through the span table of each subspace's echelon basis.  One
+engine (_sweep) counts the tables on which no constraint holds, so the
+members of Forb: a bit-packed sweep over all 2^(2^n - 1) tables, 64 per
 uint64 word.  The low 6 table bits are the bit inside a word, so each
 constraint marks a precomputed word mask; the next MID_BITS table bits
 index a strided (2,)*MID_BITS view of a buffer of words, and the remaining
@@ -24,16 +24,18 @@ a second thread would need a second stack, and small strided ORs do not
 overlap across threads.  Pinned points (free-extension counting, Core
 membership) are substituted into the constraints before the sweep, which
 then runs over the free points only; with none free, the one table is
-searched directly.
+searched directly.  The members on which some require constraint holds
+are counted by complement: members minus one sweep of forbid and require.
 
 The unpinned counts (census, count_critical_at_most, the typical-structure
 fraction) do not sweep all 2^n - 1 points: their constraint sets are
 GL(n,2)-invariant, so they count by hyperplane transfer (_transfer).  F_2^n
 splits into the hyperplane H = F_2^(n-1) and its coset C; the tables on H
-fall into GL(n-1,2)-orbits (46 at n = 5), and each orbit costs one sweep of
-the 2^(n-1) coset bits, weighted by the orbit size.  The isomorphism-class
-census runs the sweep once per conjugacy class of GL(n,2), with one table
-bit per cycle, and its identity term by the transfer.
+fall into GL(n-1,2)-orbits (46 at n = 5), and each orbit costs one count
+with H pinned to a table of the orbit, weighted by the orbit size.  The
+isomorphism-class census runs the sweep once per conjugacy class of
+GL(n,2), with one table bit per cycle, and its identity term by the
+transfer.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from operator import itemgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from .gf2 import (
     Subspace,
     _echelon_bases,
     _gl_conjugacy_classes,
-    _image_search,
     _mask_points,
     _points_mask,
     _transvection_perms,
@@ -138,13 +140,23 @@ class CensusRow:
 @lru_cache(maxsize=None)
 def _pattern_orbit(N: Pattern) -> tuple:
     """The distinct (ones, zeros) point tuples of N moved by each g in
-    GL(dim N, 2), from one walk over the group."""
-    ones, zeros = _mask_points(N.ones), _mask_points(N.zeros)
-    seen = set()
-    for images in _image_search(N.dim, N.dim):
-        g = span_table(images)
-        seen.add((_points_mask([g[x] for x in ones]), _points_mask([g[x] for x in zeros])))
-    return tuple((tuple(_mask_points(o)), tuple(_mask_points(z))) for o, z in seen)
+    GL(dim N, 2): the closure of N's cell string (cell x is point x) under
+    the transvections, which generate the group.  Each is an involution, so
+    it moves the cell of perm[x] onto x."""
+    cells = "*" + "".join("1" if N.ones >> p & 1 else "0" if N.zeros >> p & 1 else "*"
+                          for p in range((1 << N.dim) - 1))
+    moves = [itemgetter(*perm) for perm in _transvection_perms(N.dim)]
+    seen = {cells}
+    todo = [cells]
+    while todo:
+        s = todo.pop()
+        for move in moves:
+            t = "".join(move(s))
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return tuple((tuple(x for x, c in enumerate(s) if c == "1"),
+                  tuple(x for x, c in enumerate(s) if c == "0")) for s in seen)
 
 
 @lru_cache(maxsize=None)
@@ -213,52 +225,50 @@ def _plan(mid: int, high: int, constraints) -> list:
     view of a buffer, and its word mask."""
     low = (1 << WORD_BITS) - 1
     shift = WORD_BITS + mid
+    axes = [1 << (shift - 1 - axis) for axis in range(mid)]
+    every = slice(None)
     plan = [[] for _ in range(high + 1)]
     for oq, zq in constraints:
-        idx = []
-        for axis in range(mid):
-            bit = 1 << (shift - 1 - axis)
-            idx.append(1 if oq & bit else 0 if zq & bit else slice(None))
+        # the trailing ... makes indexing give a view, never a scalar, even when mid = 0
+        idx = (*[1 if oq & bit else 0 if zq & bit else every for bit in axes], ...)
         oh, zh = oq >> shift, zq >> shift
-        idx.append(...)  # so indexing gives a view, never a scalar, even when mid = 0
-        plan[(oh | zh).bit_length()].append((oh, zh, tuple(idx), _word_mask(oq & low, zq & low)))
+        plan[(oh | zh).bit_length()].append((oh, zh, idx, _word_mask(oq & low, zq & low)))
     return plan
 
 
-def _sweep(nbits: int, forbid, require=()) -> tuple[int, int]:
+def _sweep(nbits: int, constraints) -> int:
     """Sweep all 2^nbits tables, 64 per uint64 word (table t is bit t % 64
-    of word t // 64), and return (tables on which no forbid constraint
-    holds, those of them on which some require constraint holds).  The
-    constraints must have been through _substitute.
+    of word t // 64), and count those on which no constraint holds.  The
+    constraints must have been through _substitute; with the empty
+    constraint (0, 0) among them, which holds on every table, the count is
+    0 at once.
 
     Word w of chunk c holds tables (c * 2^mid + w) * 64 + j, j < 64.  The
     bits of c are walked depth first, lowest first, with one buffer of 2^mid
     words per depth: a node copies its parent's buffer and ORs in the
     constraints of its depth (see _plan) that agree with its prefix, c mod
     2^depth.  OR is idempotent and order-free, so each leaf marks exactly the
-    tables of its chunk on which some constraint holds.  A require plan has
-    its own stack, AND-ed with the members at the leaves."""
+    tables of its chunk on which some constraint holds."""
+    if (0, 0) in constraints:
+        return 0
     mid = max(0, min(MID_BITS, nbits - WORD_BITS))
     high = max(0, nbits - WORD_BITS - mid)
     valid = np.uint64((1 << (1 << min(nbits, WORD_BITS))) - 1)
-    plans = [_plan(mid, high, forbid)]
-    if require:
-        plans.append(_plan(mid, high, require))
-    stacks = [np.empty((high + 1, 1 << mid), dtype=np.uint64) for _ in plans]
-    views = [[row.reshape((2,) * mid) for row in stack] for stack in stacks]
-    total = hold = 0
+    plan = _plan(mid, high, constraints)
+    stack = np.empty((high + 1, 1 << mid), dtype=np.uint64)
+    view = [row.reshape((2,) * mid) for row in stack]
+    total = 0
     todo = [(0, 0)]  # (depth, prefix) of the nodes still to visit
     while todo:
         depth, prefix = todo.pop()
-        for plan, stack, view in zip(plans, stacks, views):
-            if depth:
-                np.copyto(stack[depth], stack[depth - 1])
-            else:
-                stack[0].fill(0)
-            for oh, zh, idx, wm in plan[depth]:
-                if prefix & oh == oh and not prefix & zh:
-                    marked = view[depth][idx]  # `view[idx] |= wm` would write it back again
-                    marked |= wm
+        if depth:
+            np.copyto(stack[depth], stack[depth - 1])
+        else:
+            stack[0].fill(0)
+        for oh, zh, idx, wm in plan[depth]:
+            if prefix & oh == oh and not prefix & zh:
+                marked = view[depth][idx]  # `view[idx] |= wm` would write it back again
+                marked |= wm
         if depth < high:
             # the second child is popped after the first child's subtree,
             # which writes only deeper buffers, so stack[depth] is still this
@@ -266,21 +276,25 @@ def _sweep(nbits: int, forbid, require=()) -> tuple[int, int]:
             todo.append((depth + 1, prefix | 1 << depth))
             todo.append((depth + 1, prefix))
             continue
-        words = stacks[0][high]
+        words = stack[high]
         np.invert(words, out=words)
         words &= valid
         total += int(np.bitwise_count(words).sum())
-        if require:
-            hits = stacks[1][high]
-            hits &= words
-            hold += int(np.bitwise_count(hits).sum())
-    return total, hold
+    return total
 
 
-def _check_free_bits(free: int) -> None:
+def _check_dim(n: int, fixed_points: int = 0) -> None:
+    """The one refusal of the exact counts, before any constraint is built:
+    ValueError for n < 0, BudgetExceeded past 2^CENSUS_MAX_DIM - 1 free
+    table bits, which with nothing pinned is any n > CENSUS_MAX_DIM."""
+    if n < 0:
+        raise ValueError(f"dimension must be nonnegative, got n={n}")
+    free = (1 << n) - 1 - fixed_points if n < 64 else "over 2^63"  # no huge int for a huge n
     cap = (1 << CENSUS_MAX_DIM) - 1
-    if free > cap:
-        raise BudgetExceeded(f"{free} free table bits exceed the exact-count cap of {cap}")
+    if isinstance(free, str) or free > cap:
+        raise BudgetExceeded(f"{free} free table bits exceed the exact-count cap of {cap}: exact "
+                             f"counting is capped at dim {CENSUS_MAX_DIM}; estimate by sampling "
+                             f"(sample_matroid + contains) instead")
 
 
 def count_members(
@@ -292,18 +306,23 @@ def count_members(
 ) -> tuple[int, int]:
     """(members, members activating some require constraint), exact.
 
-    A table t is a member iff no forbid constraint is active on it; the
-    second component counts members with at least one active require
-    constraint.  fixed_points/fixed_ones pin the values of the first
-    fixed_points points (free-extension counting); only the free points
-    are scanned.  Raises BudgetExceeded, before allocating anything, when
-    more than 2^CENSUS_MAX_DIM - 1 points are free.
+    A table t is a member iff no forbid constraint is active on it.  The
+    members activating a require constraint are counted by complement: the
+    members minus one sweep of forbid and require together, skipped when
+    there is no require constraint or no member.  fixed_points/fixed_ones
+    pin the values of the first fixed_points points (free-extension
+    counting); only the free points are swept.  Raises ValueError for n < 0
+    and BudgetExceeded, before allocating anything, when more than
+    2^CENSUS_MAX_DIM - 1 points are free.
     """
+    _check_dim(n, fixed_points)
     free = (1 << n) - 1 - fixed_points
-    _check_free_bits(free)
     forbid = _substitute(forbid, fixed_points, fixed_ones)
     require = _substitute(require, fixed_points, fixed_ones)
-    return _sweep(free, forbid, require)
+    members = _sweep(free, forbid)
+    if not require or not members:
+        return members, 0
+    return members, members - _sweep(free, forbid + require)
 
 
 @lru_cache(maxsize=None)
@@ -343,33 +362,20 @@ def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) ->
     sets, by hyperplane transfer.
 
     F_2^n splits into the hyperplane H = F_2^(n-1), the low 2^(n-1) - 1
-    table bits, and its coset C, the high 2^(n-1) bits.  For a table T on H,
-    the members extending T are one 2^(n-1)-bit sweep over C of the C-parts
-    of the constraints whose H-part holds on T.  The constraint sets are
-    GL(n, 2)-invariant, so invariant under GL(n - 1, 2) acting on H with
-    e_n -> e_n, which moves C onto itself: T and gT have equally many member
-    extensions.  So one sweep per GL(n - 1, 2)-orbit (_table_orbits), times
-    the orbit size, counts them all.
+    table bits, and its coset C, the high 2^(n-1) bits.  The members
+    extending a table T on H are one count_members with H pinned to T,
+    which sweeps C only.  The constraint sets are GL(n, 2)-invariant, so
+    invariant under GL(n - 1, 2) acting on H with e_n -> e_n, which moves C
+    onto itself: T and gT have equally many member extensions.  So one
+    pinned count per GL(n - 1, 2)-orbit (_table_orbits), times the orbit
+    size, counts them all.
     """
-    _check_free_bits((1 << n) - 1)
+    _check_dim(n)
     if n == 0:
-        return _sweep(0, forbid, require)
-    hbits = (1 << (n - 1)) - 1
-    low = (1 << hbits) - 1
-
-    def split(constraints):
-        return [(oq & low, zq & low, oq >> hbits, zq >> hbits) for oq, zq in constraints]
-
-    def on_coset(parts, t):
-        return _substitute([(oc, zc) for oh, zh, oc, zc in parts if t & oh == oh and not t & zh], 0, 0)
-
-    forbid, require = split(forbid), split(require)
+        return count_members(0, forbid, require)
     total = hold = 0
     for t, size in _table_orbits(n - 1):
-        coset_forbid = on_coset(forbid, t)
-        if (0, 0) in coset_forbid:
-            continue  # T itself holds a forbidden instance
-        members, hits = _sweep(hbits + 1, coset_forbid, on_coset(require, t))
+        members, hits = count_members(n, forbid, require, (1 << (n - 1)) - 1, t)
         total += size * members
         hold += size * hits
     return total, hold
@@ -379,11 +385,7 @@ def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) ->
 
 def census(P: LocalProperty, n: int) -> CensusRow:
     """Exact labeled count of the dim-n members of P."""
-    if n > CENSUS_MAX_DIM:
-        raise BudgetExceeded(
-            f"exact census is capped at dim {CENSUS_MAX_DIM}; estimate by "
-            f"sampling (sample_matroid + contains) instead"
-        )
+    _check_dim(n)
     total, _ = _transfer(n, _merged_constraints(P.forbidden, n))
     return CensusRow(n, total)
 
@@ -396,8 +398,7 @@ def _flat_requires(n: int, flat_dim: int, side: int) -> tuple:
 
 
 def _check_structure_args(n: int, k: int, side: int) -> None:
-    if n > CENSUS_MAX_DIM:
-        raise BudgetExceeded(f"exact counting is capped at dim {CENSUS_MAX_DIM}")
+    _check_dim(n)
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if side not in (0, 1):
@@ -503,10 +504,10 @@ def _count_pinned_extensions(M: Matroid, n: int, patterns: Sequence[Pattern]) ->
     built only once the free points pass the engine's cap of
     2^CENSUS_MAX_DIM - 1, so an oversized n raises BudgetExceeded first."""
     pinned = (1 << M.dim) - 1
+    _check_dim(n, pinned)
     free = ((1 << n) - 1) - pinned
     if free == 0:
         return int(all(find_instance(N, M) is None for N in patterns)), 1
-    _check_free_bits(free)
     forbid = _merged_constraints(patterns, n)
     count, _ = count_members(n, forbid, fixed_points=pinned, fixed_ones=M.table)
     return count, 1 << free
@@ -756,23 +757,20 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     hyperplane transfer (_transfer).  Raises
     BudgetExceeded for n > CENSUS_MAX_DIM before building any constraint.
     """
-    if n > CENSUS_MAX_DIM:
-        raise BudgetExceeded(f"isomorphism-class census is capped at dim {CENSUS_MAX_DIM}")
+    _check_dim(n)
     constraints = _merged_constraints(P.forbidden, n)
     total = 0
     for columns, size in _gl_conjugacy_classes(n):
         cycle, cycles = _cycle_numbers(span_table(columns))
         if cycles == (1 << n) - 1:  # the identity: the labeled census
-            fixed, _ = _transfer(n, constraints)
-            total += size * fixed
+            total += size * _transfer(n, constraints)[0]
             continue
 
         def on_cycles(mask: int) -> int:
             return _points_mask([cycle[p] for p in _mask_points(mask)])
 
         forbid = _substitute([(on_cycles(oq), on_cycles(zq)) for oq, zq in constraints], 0, 0)
-        fixed, _ = _sweep(cycles, forbid)
-        total += size * fixed
+        total += size * _sweep(cycles, forbid)
     order = count_linear_injections(n, n)
     assert total % order == 0, f"Burnside sum {total} is not a multiple of |GL({n},2)| = {order}"
     return total // order

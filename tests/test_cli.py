@@ -166,6 +166,14 @@ def test_exit_code_core_negative_k(capsys):
     assert "k must be nonnegative" in err
 
 
+def test_exit_code_core_huge_k(capsys):
+    # 2^20001 - 2 free cells: refused without printing a 6021-digit count,
+    # which Python's int-to-str limit would turn into a ValueError
+    code, out, err = run(capsys, "core", "--input", "zeros:1", "--forbid", "O2", "--k", "20000")
+    assert code == 2 and out == ""
+    assert "over 2^63 free table bits exceed the exact-count cap of 31" in err
+
+
 def test_ext_count(capsys, tmp_path):
     path = tmp_path / "pt.mat"
     path.write_text(Matroid.from_values([1]).to_text())

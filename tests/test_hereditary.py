@@ -15,6 +15,7 @@ from binmat.errors import BudgetExceeded
 from binmat.gf2 import (
     LinearInjections,
     Subspace,
+    _image_search,
     _transvection_perms,
     count_linear_injections,
     random_linear_injection,
@@ -149,6 +150,41 @@ def test_census_two_point_constraints_n5():
 def test_census_cap():
     with pytest.raises(BudgetExceeded):
         census(forb(O2), 6)
+
+
+def test_exact_counts_refuse_a_negative_dim():
+    P = forb(O2)
+    for count in (lambda: census(P, -1), lambda: count_members(-1, ()),
+                  lambda: count_critical_at_most(-1, 0),
+                  lambda: typical_structure_fraction(P, -1, 0),
+                  lambda: isomorphism_class_census(P, -1)):
+        with pytest.raises(ValueError, match="dimension must be nonnegative, got n=-1"):
+            count()
+
+
+def test_exact_counts_refuse_past_dim_5_before_building_constraints():
+    P = forb(O2)
+    refusal = ("63 free table bits exceed the exact-count cap of 31: exact counting is "
+               "capped at dim 5; estimate by sampling")
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError), \
+            mock.patch.object(hereditary, "_flat_requires", side_effect=AssertionError):
+        for count in (lambda: census(P, 6), lambda: count_critical_at_most(6, 2),
+                      lambda: typical_structure_fraction(P, 6, 2),
+                      lambda: isomorphism_class_census(P, 6)):
+            with pytest.raises(BudgetExceeded, match=refusal):
+                count()
+        # a huge dimension is refused without building a 2^n-bit integer
+        with pytest.raises(BudgetExceeded, match="over 2\\^63 free table bits"):
+            census(P, 10 ** 9)
+
+
+def test_census_of_a_group_invariant_dim5_pattern():
+    # ones:5 is its own GL(5,2)-orbit, found without walking the group's
+    # 9,999,360 maps (that walk took 112 s on a 2-core box); every table
+    # but the all-ones one is a member
+    start = time.perf_counter()
+    assert census(forb(bp("ones:5")), 5).count == (1 << 31) - 1
+    assert time.perf_counter() - start < 10
 
 
 # --- the counting engine against brute force -------------------------------------
@@ -293,12 +329,21 @@ def bit_constraint_lists(nbits):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), nbits=st.sampled_from([25, 26]), with_require=st.booleans())
 def test_sweep_matches_flat_loop(data, nbits, with_require):
-    # a chunk tree of depth 4 or 5; the flat loop sees 1 or 2 MiB chunks
+    # a chunk tree of depth 4 or 5; the flat loop sees 1 or 2 MiB chunks.
+    # The constraints sit above 31 - nbits pinned zero points, which
+    # count_members substitutes away again
     forbid = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
     require = ()
     if with_require:
         require = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
-    assert hereditary._sweep(nbits, forbid, require) == flat_sweep(nbits, forbid, require)
+    fixed = 31 - nbits
+
+    def pinned(constraints):
+        return [(oq << fixed, zq << fixed) for oq, zq in constraints]
+
+    want = flat_sweep(nbits, forbid, require)
+    assert hereditary._sweep(nbits, forbid) == want[0]
+    assert count_members(5, pinned(forbid), pinned(require), fixed) == want
 
 
 @settings(max_examples=12, deadline=None)
@@ -316,21 +361,24 @@ def test_multi_chunk_sweep_matches_flat_loop(data, fixed_points):
 
 @pytest.mark.parametrize("nbits", [26, 31])
 def test_sweep_memory_is_one_stack_per_plan(nbits):
-    # one buffer of 2^MID_BITS words per depth of the chunk tree, and a
-    # second stack only for a require plan; a second thread would need
-    # stacks of its own.  The slack is less than one more buffer, and the
-    # stacks are freed on return, not at the next garbage collection
+    # one buffer of 2^MID_BITS words per depth of the chunk tree, also for a
+    # count with a require constraint: its second sweep (forbid and require
+    # together) starts after the first has freed its stack.  A second thread
+    # would need a stack of its own.  The slack is less than one more
+    # buffer, and the stack is freed on return, not at the next garbage
+    # collection
     buffer = 8 << hereditary.MID_BITS
     stack = (nbits - 6 - hereditary.MID_BITS + 1) * buffer
-    for require, plans in (((), 1), (((2, 0),), 2)):
+    fixed = 31 - nbits
+    for require in ((), ((2 << fixed, 0),)):
         tracemalloc.start()
         try:
-            got = hereditary._sweep(nbits, ((1, 0),), require)
+            got = count_members(5, ((1 << fixed, 0),), require, fixed)
             left, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert got == (1 << (nbits - 1), (1 << (nbits - 2)) * bool(require))
-        assert plans * stack <= peak < plans * stack + buffer
+        assert stack <= peak < stack + buffer
         assert left < buffer
 
 
@@ -522,11 +570,12 @@ def flat_lists(n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), pats=st.lists(patterns(3), max_size=2), n=st.integers(0, 4))
 def test_transfer_matches_sweep(data, pats, n):
+    # the pinned count per orbit, weighted by the orbit size, against brute
+    # force over every table
     forbid = hereditary._merged_constraints(pats, n)
     require = data.draw(flat_lists(n))
-    sub = hereditary._substitute
-    want = hereditary._sweep((1 << n) - 1, sub(forbid, 0, 0), sub(require, 0, 0))
-    assert hereditary._transfer(n, forbid, require) == want
+    members, hold = oracle_members(n, forbid, require)
+    assert hereditary._transfer(n, forbid, require) == (len(members), hold)
 
 
 @pytest.mark.parametrize("m", range(5))
@@ -559,6 +608,41 @@ def injection_walk_constraints(N: Pattern, n: int) -> tuple:
 @given(N=patterns(3), n=st.integers(0, 5))
 def test_instance_constraints_match_injection_walk(N, n):
     assert instance_constraints(N, n) == injection_walk_constraints(N, n)
+
+
+def walk_pattern_orbit(N: Pattern) -> set:
+    """_pattern_orbit as first written: N's point sets moved by each of the
+    maps of GL(dim N, 2), one walk over the group."""
+    ones, zeros = hereditary._mask_points(N.ones), hereditary._mask_points(N.zeros)
+    seen = set()
+    for images in _image_search(N.dim, N.dim):
+        g = span_table(images)
+        seen.add((tuple(sorted(g[x] for x in ones)), tuple(sorted(g[x] for x in zeros))))
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=patterns(3))
+def test_pattern_orbit_matches_group_walk(N):
+    orbit = hereditary._pattern_orbit(N)
+    assert len(set(orbit)) == len(orbit)
+    assert set(orbit) == walk_pattern_orbit(N)
+
+
+# fixed by no map of GL(4,2) but the identity: its orbit has all 20160 point sets
+ASYMMETRIC_DIM4 = Pattern.from_values([1, STAR, 0, STAR, 1, 1, STAR, 0, STAR, 0, 1, 0, 0, 0, STAR])
+
+
+DIM4_NAMES = ("ones:4", "zeros:4", "BB:1:4", "BB:2:4", "BB:3:4")
+
+
+@pytest.mark.parametrize("N", [bp(name) for name in DIM4_NAMES] + [ASYMMETRIC_DIM4],
+                         ids=list(DIM4_NAMES) + ["asymmetric"])
+def test_pattern_orbit_matches_group_walk_dim4(N):
+    orbit = hereditary._pattern_orbit(N)
+    assert len(set(orbit)) == len(orbit)
+    assert set(orbit) == walk_pattern_orbit(N)
+    assert N is not ASYMMETRIC_DIM4 or len(orbit) == count_linear_injections(4, 4)
 
 
 def moved(constraints, perm) -> set:
