@@ -6,6 +6,12 @@ output.  Wall time goes to stderr, keeping artifacts byte-identical across
 repeated runs with the same config and seed.
 
 Exit codes: 0 success, 1 bad input, 2 budget refusal.
+
+Each subcommand is declared once, in the command table _COMMANDS: its
+handler, which returns only its result dict, its help line, the names of
+its options (argparse settings in _OPTIONS; --seed, --budget, --out and
+--format are added to every command) and the CSV columns of its result
+rows, or None for a key,value listing.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -121,10 +128,14 @@ def _parse_range(spec: str) -> tuple[int, int]:
 # --- output ------------------------------------------------------------------------
 
 def _enc(x):
-    """Fractions to 'p/q'; counts are pre-rendered as decimal strings by the
-    subcommands, structural integers (dims, seeds) stay JSON numbers."""
+    """Fractions to 'p/q' and non-finite floats (the entropy of a zero
+    count) to 'inf'/'-inf', which JSON has no number for; counts are
+    pre-rendered as decimal strings by the subcommands, structural integers
+    (dims, seeds) stay JSON numbers."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
     if isinstance(x, dict):
         return {str(k): _enc(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -133,24 +144,26 @@ def _enc(x):
 
 
 def _render_json(artifact: dict) -> str:
-    return json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+    return json.dumps(artifact, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _render_csv(artifact: dict, columns, rows) -> str:
+def _render_csv(artifact: dict, columns) -> str:
+    """The rows of the result under `columns`, or key,value lines when
+    the command has no table."""
     buf = io.StringIO()
     for key in ("schema", "command"):
         buf.write(f"# {key}={artifact[key]}\n")
     for key, val in sorted(artifact["config"].items()):
         buf.write(f"# config.{key}={json.dumps(val)}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    if rows is None:
+    result = artifact["result"]
+    if columns is None:
         writer.writerow(["key", "value"])
-        flat = artifact["result"]
-        for key in sorted(flat):
-            writer.writerow([key, json.dumps(flat[key], sort_keys=True)])
+        for key in sorted(result):
+            writer.writerow([key, json.dumps(result[key], sort_keys=True, allow_nan=False)])
     else:
         writer.writerow(columns)
-        for row in rows:
+        for row in result["rows"]:
             writer.writerow([row[c] for c in columns])
     return buf.getvalue()
 
@@ -163,13 +176,12 @@ def _emit(text: str, out) -> None:
 
 
 # --- subcommands --------------------------------------------------------------------
-# each returns (result_dict, row_list_or_None, csv_columns_or_None)
+# each returns its result dict; a table's rows go under "rows"
 
 def _cmd_census(args):
     P = _property_arg(args.forbid)
     lo, hi = _parse_range(args.n)
-    rows = [census(P, n).to_json_dict() for n in range(lo, hi + 1)]
-    return {"rows": rows}, rows, ["n", "count", "entropy"]
+    return {"rows": [census(P, n).to_json_dict() for n in range(lo, hi + 1)]}
 
 
 def _cmd_entropy_table(args):
@@ -200,23 +212,20 @@ def _cmd_entropy_table(args):
             }
         )
         rows.append(row)
-    result = {
+    return {
         "rows": rows,
         "chi": "inf" if chi is None else chi,
         "violations": violations,
     }
-    cols = ["n", "count", "entropy", "entropy_ratio", "chi_term", "sandwich_ok"]
-    return result, rows, cols
 
 
 def _cmd_chi(args):
-    P = _property_arg(args.forbid)
-    return {"chi": property_critical_number(P)}, None, None
+    return {"chi": property_critical_number(_property_arg(args.forbid))}
 
 
 def _cmd_critical(args):
     M = _matroid_arg(args.input)
-    return {"dim": M.dim, "critical": critical_number(M)}, None, None
+    return {"dim": M.dim, "critical": critical_number(M)}
 
 
 def _cmd_instance(args):
@@ -229,7 +238,7 @@ def _cmd_instance(args):
     }
     if args.count:
         result["count"] = str(count_instances(src, tgt))
-    return result, None, None
+    return result
 
 
 def _cmd_density(args):
@@ -237,34 +246,26 @@ def _cmd_density(args):
     M = _matroid_arg(args.input)
     if args.samples is None:
         t = density(N, M)
-        return {"density": t, "density_float": float(t)}, None, None
+        return {"density": t, "density_float": float(t)}
     est = density_in_function(
         N, RealFunction.from_matroid(M), samples=args.samples, seed=args.seed
     )
-    return (
-        {"estimate": float(est), "samples": args.samples, "seed": args.seed},
-        None,
-        None,
-    )
+    return {"estimate": float(est), "samples": args.samples, "seed": args.seed}
 
 
 def _cmd_ramsey(args):
     kwargs = {} if args.budget is None else {"node_budget": args.budget}
     res = ramsey_dimension(args.d, int(args.n), **kwargs)
     verified = verify_ramsey_result(res, samples=1000, seed=args.seed)
-    return (
-        {
-            "flat_dim": res.flat_dim,
-            "value": res.value,
-            "counterexamples": {
-                str(n): M.to_json_dict() for n, M in sorted(res.counterexamples.items())
-            },
-            "transcript": res.transcript,
-            "verified": verified,
+    return {
+        "flat_dim": res.flat_dim,
+        "value": res.value,
+        "counterexamples": {
+            str(n): M.to_json_dict() for n, M in sorted(res.counterexamples.items())
         },
-        None,
-        None,
-    )
+        "transcript": res.transcript,
+        "verified": verified,
+    }
 
 
 def _cmd_pack(args):
@@ -276,51 +277,39 @@ def _cmd_pack(args):
     fam = rooted_subspace_packing(U, W, n)
     d = n - dw + du
     strict = du < dw < n
-    return (
-        {
-            "m": len(fam),
-            "member_dim": d,
-            "guarantee": (1 << (n - 2 * d)) if strict and n >= 2 * d else 1,
-            "subspaces": [S.to_json_dict() for S in fam],
-        },
-        None,
-        None,
-    )
+    return {
+        "m": len(fam),
+        "member_dim": d,
+        "guarantee": (1 << (n - 2 * d)) if strict and n >= 2 * d else 1,
+        "subspaces": [S.to_json_dict() for S in fam],
+    }
 
 
 def _cmd_core(args):
     M = _matroid_arg(args.input)
     P = _property_arg(args.forbid)
     if args.samples is None:
-        return {"in_core": core_membership(M, P, args.k)}, None, None
+        return {"in_core": core_membership(M, P, args.k)}
     refuted = core_membership_refute(M, P, args.k, args.samples, seed=args.seed)
-    return (
-        {"in_core": refuted, "samples": args.samples, "seed": args.seed},
-        None,
-        None,
-    )
+    return {"in_core": refuted, "samples": args.samples, "seed": args.seed}
 
 
 def _cmd_ext_count(args):
     M = _matroid_arg(args.input)
     Np = _pattern_arg(args.pattern)
     rep = count_free_extensions(M, int(args.n), Np)
-    return (
-        {
-            "count": str(rep.count),
-            "total": str(rep.total),
-            "base_dim": rep.base_dim,
-            "ambient_dim": rep.ambient_dim,
-            "pattern_dim": rep.pattern_dim,
-            "codim": rep.codim,
-            "applicable": rep.applicable,
-            "epsilon": rep.epsilon,
-            "bound_log2": rep.bound_log2,
-            "bound_holds": rep.holds,
-        },
-        None,
-        None,
-    )
+    return {
+        "count": str(rep.count),
+        "total": str(rep.total),
+        "base_dim": rep.base_dim,
+        "ambient_dim": rep.ambient_dim,
+        "pattern_dim": rep.pattern_dim,
+        "codim": rep.codim,
+        "applicable": rep.applicable,
+        "epsilon": rep.epsilon,
+        "bound_log2": rep.bound_log2,
+        "bound_holds": rep.holds,
+    }
 
 
 def _cmd_o2_check(args):
@@ -340,24 +329,19 @@ def _cmd_o2_check(args):
                 "fraction_float": float(frac),
             }
         )
-    cols = ["n", "k", "structured_count", "member_count", "fraction", "fraction_float"]
-    return {"rows": rows}, rows, cols
+    return {"rows": rows}
 
 
 def _cmd_decomp_probe(args):
     g = _values_arg(args.input)
     factor, residual = best_factor_search(g, args.d, args.k)
-    return (
-        {
-            "degree": args.d,
-            "complexity": args.k,
-            "n_parts": factor.n_parts,
-            "polys": [polynomial_to_text(P) for P in factor.polys],
-            "residual": residual,
-        },
-        None,
-        None,
-    )
+    return {
+        "degree": args.d,
+        "complexity": args.k,
+        "n_parts": factor.n_parts,
+        "polys": [polynomial_to_text(P) for P in factor.polys],
+        "residual": residual,
+    }
 
 
 def _cmd_structured(args):
@@ -376,115 +360,89 @@ def _cmd_structured(args):
     }
     if args.list:
         result["tables"] = [M.to_json_dict() for M in enumerate_structured(f)]
-    return result, None, None
+    return result
 
 
-_DISPATCH = {
-    "census": _cmd_census,
-    "entropy-table": _cmd_entropy_table,
-    "chi": _cmd_chi,
-    "critical": _cmd_critical,
-    "instance": _cmd_instance,
-    "density": _cmd_density,
-    "ramsey": _cmd_ramsey,
-    "pack": _cmd_pack,
-    "core": _cmd_core,
-    "ext-count": _cmd_ext_count,
-    "o2-check": _cmd_o2_check,
-    "decomp-probe": _cmd_decomp_probe,
-    "structured": _cmd_structured,
+# --- the command table --------------------------------------------------------------
+
+_OPTIONS = {  # argparse keyword arguments of each option, by name
+    "forbid": dict(
+        action="append",
+        default=[],  # argparse copies it before appending; the echo shows []
+        metavar="PAT",
+        help="forbidden pattern: file path or builtin "
+        "(O2, I1, BB:k:d, ones:d, zeros:d); repeatable",
+    ),
+    "n": dict(required=True, help="dimension, or LO:HI range"),
+    "k": dict(type=int, required=True, help="codimension parameter"),
+    "d": dict(type=int, required=True, help="dimension parameter"),
+    "input": dict(required=True, help="input file (or builtin name)"),
+    "pattern": dict(required=True, help="pattern file or builtin name"),
+    "target": dict(required=True, help="target file or builtin name"),
+    "samples": dict(
+        type=int, default=None, help="Monte-Carlo sample count (exact mode when omitted)"
+    ),
+    "count": dict(action="store_true", help="also count all instances"),
+    "list": dict(action="store_true", help="enumerate the tables too"),
+    "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+    "budget": dict(type=int, default=None, help="search node budget"),
+    "out": dict(default=None, help="output file (default stdout)"),
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
+}
+
+_COMMON = ("seed", "budget", "out", "format")
+
+# name: (handler, help, its own options, CSV columns of result["rows"] or None)
+_COMMANDS = {
+    "census": (_cmd_census, "labeled member counts", ("forbid", "n"),
+               ("n", "count", "entropy")),
+    "entropy-table": (_cmd_entropy_table, "entropy rows with the critical-number limit",
+                      ("forbid", "n"),
+                      ("n", "count", "entropy", "entropy_ratio", "chi_term", "sandwich_ok")),
+    "chi": (_cmd_chi, "critical number of a property", ("forbid",), None),
+    "critical": (_cmd_critical, "critical number of a matroid", ("input",), None),
+    "instance": (_cmd_instance, "find a pattern instance", ("count", "pattern", "target"), None),
+    "density": (_cmd_density, "instance density of a pattern in a matroid",
+                ("input", "pattern", "samples"), None),
+    "ramsey": (_cmd_ramsey, "least dimension forcing a monochromatic flat", ("n", "d"), None),
+    "pack": (_cmd_pack, "rooted subspace packing (coordinate U <= W)", ("n", "k", "d"), None),
+    "core": (_cmd_core, "does every k-extension stay in the property",
+             ("forbid", "k", "input", "samples"), None),
+    "ext-count": (_cmd_ext_count, "pattern-free extension count and bound",
+                  ("n", "input", "pattern"), None),
+    "o2-check": (_cmd_o2_check, "fraction of members with small critical number",
+                 ("forbid", "n", "k"),
+                 ("n", "k", "structured_count", "member_count", "fraction", "fraction_float")),
+    "decomp-probe": (_cmd_decomp_probe, "best low-complexity factor of a function",
+                     ("k", "d", "input"), None),
+    "structured": (_cmd_structured, "level-structured matroid count", ("list", "input"), None),
 }
 
 
-def _add_common(sub, *, forbid=False, n=False, k=False, d=False, input_=False,
-                pattern=False, target=False, samples=False):
-    if forbid:
-        sub.add_argument(
-            "--forbid",
-            action="append",
-            default=[],
-            metavar="PAT",
-            help="forbidden pattern: file path or builtin "
-            "(O2, I1, BB:k:d, ones:d, zeros:d); repeatable",
-        )
-    if n:
-        sub.add_argument("--n", required=True, help="dimension, or LO:HI range")
-    if k:
-        sub.add_argument("--k", type=int, required=True, help="codimension parameter")
-    if d:
-        sub.add_argument("--d", type=int, required=True, help="dimension parameter")
-    if input_:
-        sub.add_argument("--input", required=True, help="input file (or builtin name)")
-    if pattern:
-        sub.add_argument("--pattern", required=True, help="pattern file or builtin name")
-    if target:
-        sub.add_argument("--target", required=True, help="target file or builtin name")
-    if samples:
-        sub.add_argument(
-            "--samples", type=int, default=None,
-            help="Monte-Carlo sample count (exact mode when omitted)",
-        )
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    sub.add_argument("--budget", type=int, default=None, help="search node budget")
-    sub.add_argument("--out", default=None, help="output file (default stdout)")
-    sub.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
-
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="binmat", description=__doc__)
+    # --help shows the docstring without its last paragraph, which is about this module
+    parser = _Parser(prog="binmat", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(subs.add_parser("census", help="labeled member counts"),
-                forbid=True, n=True)
-    _add_common(subs.add_parser("entropy-table", help="entropy rows with the critical-number limit"),
-                forbid=True, n=True)
-    _add_common(subs.add_parser("chi", help="critical number of a property"),
-                forbid=True)
-    _add_common(subs.add_parser("critical", help="critical number of a matroid"),
-                input_=True)
-    p = subs.add_parser("instance", help="find a pattern instance")
-    p.add_argument("--count", action="store_true", help="also count all instances")
-    _add_common(p, pattern=True, target=True)
-    _add_common(subs.add_parser("density", help="instance density of a pattern in a matroid"),
-                pattern=True, input_=True, samples=True)
-    _add_common(subs.add_parser("ramsey", help="least dimension forcing a monochromatic flat"),
-                n=True, d=True)
-    _add_common(subs.add_parser("pack", help="rooted subspace packing (coordinate U <= W)"),
-                n=True, k=True, d=True)
-    _add_common(subs.add_parser("core", help="does every k-extension stay in the property"),
-                input_=True, forbid=True, k=True, samples=True)
-    _add_common(subs.add_parser("ext-count", help="pattern-free extension count and bound"),
-                input_=True, pattern=True, n=True)
-    _add_common(subs.add_parser("o2-check", help="fraction of members with small critical number"),
-                forbid=True, n=True, k=True)
-    _add_common(subs.add_parser("decomp-probe", help="best low-complexity factor of a function"),
-                input_=True, d=True, k=True)
-    p = subs.add_parser("structured", help="level-structured matroid count")
-    p.add_argument("--list", action="store_true", help="enumerate the tables too")
-    _add_common(p, input_=True)
+    for name, (_, help_, options, _) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_)
+        for opt in options + _COMMON:
+            sub.add_argument(f"--{opt}", **_OPTIONS[opt])
     return parser
-
-
-def _config_echo(args) -> dict:
-    cfg = {k: v for k, v in vars(args).items() if k != "command"}
-    return _enc(cfg)
 
 
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
-        result, rows, cols = _DISPATCH[args.command](args)
+        handler, _, _, columns = _COMMANDS[args.command]
         artifact = {
             "schema": SCHEMA,
             "command": args.command,
-            "config": _config_echo(args),
-            "result": _enc(result),
+            "config": _enc({k: v for k, v in vars(args).items() if k != "command"}),
+            "result": _enc(handler(args)),
         }
         if args.format == "csv":
-            text = _render_csv(artifact, cols, _enc(rows) if rows is not None else None)
+            text = _render_csv(artifact, columns)
         else:
             text = _render_json(artifact)
         _emit(text, args.out)

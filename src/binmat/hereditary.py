@@ -96,6 +96,7 @@ __all__ = [
 ]
 
 CENSUS_MAX_DIM = 5  # 2^n - 1 table bits must fit a 31-bit mask
+PATTERN_ORBIT_CAP = 1 << 15  # >= |GL(4,2)| = 20160, so every pattern of dim <= 4 fits
 RAMSEY_NODE_BUDGET = 50_000_000
 
 
@@ -142,7 +143,9 @@ def _pattern_orbit(N: Pattern) -> tuple:
     """The distinct (ones, zeros) point tuples of N moved by each g in
     GL(dim N, 2): the closure of N's cell string (cell x is point x) under
     the transvections, which generate the group.  Each is an involution, so
-    it moves the cell of perm[x] onto x."""
+    it moves the cell of perm[x] onto x.  Raises BudgetExceeded once the
+    orbit passes PATTERN_ORBIT_CAP (a dim-5 pattern fixed only by the
+    identity has 9,999,360)."""
     cells = "*" + "".join("1" if N.ones >> p & 1 else "0" if N.zeros >> p & 1 else "*"
                           for p in range((1 << N.dim) - 1))
     moves = [itemgetter(*perm) for perm in _transvection_perms(N.dim)]
@@ -155,6 +158,9 @@ def _pattern_orbit(N: Pattern) -> tuple:
             if t not in seen:
                 seen.add(t)
                 todo.append(t)
+                if len(seen) > PATTERN_ORBIT_CAP:
+                    raise BudgetExceeded(f"the GL({N.dim},2)-orbit of the pattern exceeds "
+                                         f"the cap of {PATTERN_ORBIT_CAP} point sets")
     return tuple((tuple(x for x, c in enumerate(s) if c == "1"),
                   tuple(x for x, c in enumerate(s) if c == "0")) for s in seen)
 
@@ -390,13 +396,6 @@ def census(P: LocalProperty, n: int) -> CensusRow:
     return CensusRow(n, total)
 
 
-def _flat_requires(n: int, flat_dim: int, side: int) -> tuple:
-    """One require constraint per dim-flat_dim subspace: all-zero (side 0)
-    or all-one (side 1) on it."""
-    masks = subspace_point_masks(n, flat_dim)
-    return tuple((0, mask) if side == 0 else (mask, 0) for mask in masks)
-
-
 def _check_structure_args(n: int, k: int, side: int) -> None:
     _check_dim(n)
     if not 0 <= k <= n:
@@ -413,7 +412,7 @@ def count_critical_at_most(n: int, k: int, side: int = 0) -> int:
     those with no such subspace.
     """
     _check_structure_args(n, k, side)
-    without, _ = _transfer(n, _flat_requires(n, n - k, side))
+    without, _ = _transfer(n, instance_constraints(Pattern.constant(n - k, side), n))
     return (1 << ((1 << n) - 1)) - without
 
 
@@ -422,7 +421,7 @@ def _structure_counts(P: LocalProperty, n: int, k: int, side: int = 0) -> tuple[
     codimension <= k), from one engine count."""
     _check_structure_args(n, k, side)
     forbid = _merged_constraints(P.forbidden, n)
-    total, hold = _transfer(n, forbid, _flat_requires(n, n - k, side))
+    total, hold = _transfer(n, forbid, instance_constraints(Pattern.constant(n - k, side), n))
     if total == 0:
         raise ValueError(f"property has no members at dim {n}; fraction undefined")
     return total, hold

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 from unittest import mock
 
 import pytest
 
 import binmat.hereditary as hereditary
-from binmat.cli import main
-from binmat.matroid import Matroid
+from binmat.cli import _build_parser, main
+from binmat.matroid import STAR, Matroid, Pattern
 
 
 def run(capsys, *argv):
@@ -262,6 +263,18 @@ def test_csv_output(capsys):
     assert data[1].startswith("2,7,") and data[2].startswith("3,64,")
 
 
+@pytest.mark.parametrize("argv, header", [
+    (["entropy-table", "--forbid", "O2", "--n", "1:2"],
+     "n,count,entropy,entropy_ratio,chi_term,sandwich_ok"),
+    (["o2-check", "--forbid", "ones3", "--n", "3", "--k", "2"],
+     "n,k,structured_count,member_count,fraction,fraction_float"),
+], ids=["entropy-table", "o2-check"])
+def test_csv_headers(capsys, argv, header):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    data = [l for l in out.splitlines() if not l.startswith("#")]
+    assert code == 0 and data[0] == header
+
+
 def test_csv_key_value_fallback(capsys):
     code, out, _ = run(capsys, "chi", "--forbid", "O2", "--format", "csv")
     assert code == 0
@@ -345,3 +358,63 @@ def test_values_file_zero_denominator(capsys, tmp_path):
 def test_missing_values_file(capsys):
     code, _, _ = run(capsys, "structured", "--input", "/nonexistent/f.vals")
     assert code == 1
+
+
+# the config echo of each command, recorded before the command table
+CONFIG_KEYS = {
+    "census": ["budget", "forbid", "format", "n", "out", "seed"],
+    "entropy-table": ["budget", "forbid", "format", "n", "out", "seed"],
+    "chi": ["budget", "forbid", "format", "out", "seed"],
+    "critical": ["budget", "format", "input", "out", "seed"],
+    "instance": ["budget", "count", "format", "out", "pattern", "seed", "target"],
+    "density": ["budget", "format", "input", "out", "pattern", "samples", "seed"],
+    "ramsey": ["budget", "d", "format", "n", "out", "seed"],
+    "pack": ["budget", "d", "format", "k", "n", "out", "seed"],
+    "core": ["budget", "forbid", "format", "input", "k", "out", "samples", "seed"],
+    "ext-count": ["budget", "format", "input", "n", "out", "pattern", "seed"],
+    "o2-check": ["budget", "forbid", "format", "k", "n", "out", "seed"],
+    "decomp-probe": ["budget", "d", "format", "input", "k", "out", "seed"],
+    "structured": ["budget", "format", "input", "list", "out", "seed"],
+}
+REQUIRED = {"n": "1", "k": "1", "d": "1", "input": "x", "pattern": "x", "target": "x"}
+DEFAULTS = {"budget": None, "count": False, "forbid": [], "format": "json", "list": False,
+            "out": None, "samples": None, "seed": 0}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_config_echo_keys_and_defaults(command):
+    keys = CONFIG_KEYS[command]
+    argv = [command] + [a for key in keys if key in REQUIRED for a in (f"--{key}", REQUIRED[key])]
+    echo = {k: v for k, v in vars(_build_parser().parse_args(argv)).items() if k != "command"}
+    assert sorted(echo) == keys
+    assert {k: v for k, v in echo.items() if k not in REQUIRED} == {
+        k: DEFAULTS[k] for k in keys if k not in REQUIRED}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_zero_count_artifacts_are_strict_json(capsys):
+    for command in ("census", "entropy-table"):
+        code, out, _ = run(capsys, command, "--forbid", "zeros:0", "--n", "0:1")
+        assert code == 0
+        rows = json.loads(out, parse_constant=_refuse_constant)["result"]["rows"]
+        assert [row["count"] for row in rows] == ["0", "0"]
+        assert all(row["entropy"] == "-inf" for row in rows)
+        assert command == "census" or all(row["entropy_ratio"] == "-inf" for row in rows)
+    # the CSV text is as before
+    code, out, _ = run(capsys, "entropy-table", "--forbid", "zeros:0", "--n", "0:1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["0,0,-inf,-inf,0.0,False", "1,0,-inf,-inf,0.0,False"]
+
+
+def test_exit_code_pattern_orbit_past_cap(capsys, tmp_path):
+    # a seeded dim-5 pattern whose GL(5,2)-orbit passes the closure's cap
+    rng = random.Random(5)
+    path = tmp_path / "asymmetric5.pat"
+    path.write_text(Pattern.from_values([rng.choice([0, 1, STAR]) for _ in range(31)]).to_text())
+    code, out, err = run(capsys, "census", "--forbid", str(path), "--n", "5")
+    assert code == 2 and out == ""
+    assert "budget refused" in err and "exceeds the cap of 32768 point sets" in err

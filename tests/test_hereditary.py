@@ -20,6 +20,7 @@ from binmat.gf2 import (
     count_linear_injections,
     random_linear_injection,
     span_table,
+    subspace_point_masks,
 )
 from binmat.hereditary import (
     LocalProperty,
@@ -71,6 +72,12 @@ CRIT_AT_MOST = {
 
 def naive_census(P: LocalProperty, n: int) -> int:
     return sum(contains(P, Matroid(n, t)) for t in range(1 << ((1 << n) - 1)))
+
+
+def flat_requires(n, flat_dim, side):
+    """One require constraint per dim-flat_dim subspace, all-zero (side 0)
+    or all-one (side 1) on it, from the subspaces' point masks."""
+    return tuple((0, m) if side == 0 else (m, 0) for m in subspace_point_masks(n, flat_dim))
 
 
 def oracle_members(n, forbid, require=(), fixed_points=0, fixed_ones=0):
@@ -167,7 +174,7 @@ def test_exact_counts_refuse_past_dim_5_before_building_constraints():
     refusal = ("63 free table bits exceed the exact-count cap of 31: exact counting is "
                "capped at dim 5; estimate by sampling")
     with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError), \
-            mock.patch.object(hereditary, "_flat_requires", side_effect=AssertionError):
+            mock.patch.object(hereditary, "instance_constraints", side_effect=AssertionError):
         for count in (lambda: census(P, 6), lambda: count_critical_at_most(6, 2),
                       lambda: typical_structure_fraction(P, 6, 2),
                       lambda: isomorphism_class_census(P, 6)):
@@ -442,7 +449,7 @@ def test_count_critical_at_most_is_the_require_count():
     for n in range(5):
         for k in range(n + 1):
             for side in (0, 1):
-                requires = hereditary._flat_requires(n, n - k, side)
+                requires = flat_requires(n, n - k, side)
                 _, want = count_members(n, (), requires)
                 assert count_critical_at_most(n, k, side) == want
     assert count_critical_at_most(5, 2) == 986973072
@@ -563,7 +570,7 @@ def flat_lists(n):
     """No require, or the require constraints of every all-zero or all-one
     flat of one dimension."""
     flats = st.tuples(st.integers(0, n), st.sampled_from([0, 1])).map(
-        lambda p: hereditary._flat_requires(n, *p))
+        lambda p: flat_requires(n, *p))
     return st.one_of(st.just(()), flats)
 
 
@@ -645,6 +652,22 @@ def test_pattern_orbit_matches_group_walk_dim4(N):
     assert N is not ASYMMETRIC_DIM4 or len(orbit) == count_linear_injections(4, 4)
 
 
+def seeded_pattern(dim: int, seed: int) -> Pattern:
+    rng = random.Random(seed)
+    return Pattern.from_values([rng.choice([0, 1, STAR]) for _ in range((1 << dim) - 1)])
+
+
+def test_pattern_orbit_cap_refuses_an_asymmetric_dim5_pattern():
+    # every pattern of dim <= 4 fits under the cap; this one's full orbit
+    # would hold up to 9,999,360 point sets, so the closure stops at the cap
+    assert hereditary.PATTERN_ORBIT_CAP >= count_linear_injections(4, 4)
+    N = seeded_pattern(5, seed=5)
+    cap = f"exceeds the cap of {hereditary.PATTERN_ORBIT_CAP} point sets"
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(BudgetExceeded, match=cap):
+            census(forb(N), 5)
+
+
 def moved(constraints, perm) -> set:
     def move(mask):
         return sum(1 << (perm[p] - 1) for p in hereditary._mask_points(mask))
@@ -662,9 +685,17 @@ def test_constraints_invariant_under_transvections(data, N, n):
         assert moved(flats, perm) == set(flats)
 
 
+def test_flat_constraints_are_the_instances_of_a_constant_pattern():
+    for n in range(6):
+        for f in range(n + 1):
+            for side in (0, 1):
+                want = set(flat_requires(n, f, side))
+                assert set(instance_constraints(Pattern.constant(f, side), n)) == want
+
+
 def test_constraints_invariant_under_transvections_n5():
     sets = [instance_constraints(ONES3, 5), instance_constraints(O2, 5),
-            hereditary._flat_requires(5, 3, 0), hereditary._flat_requires(5, 2, 1)]
+            flat_requires(5, 3, 0), flat_requires(5, 2, 1)]
     assert [len(s) for s in sets] == [155, 155, 155, 155]
     for perm in _transvection_perms(5):
         for cons in sets:
