@@ -232,6 +232,13 @@ def _torus_int_table(values: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(t.num << (ld - t.log_den) for t in tvs), ld
 
 
+def _table_dim(size: int) -> int:
+    """n for a table over all of F_2^n, which has 2^n values (never 0)."""
+    if size < 1 or size & (size - 1):
+        raise ValueError("table length must be a power of two")
+    return size.bit_length() - 1
+
+
 def derivative(f: Sequence, y: Union[int, GF2Vector]) -> tuple[TorusValue, ...]:
     """(D_y f)(x) = f(x + y) - f(x), exact on the torus.
 
@@ -239,9 +246,7 @@ def derivative(f: Sequence, y: Union[int, GF2Vector]) -> tuple[TorusValue, ...]:
     all of F_2^n, length a power of two.
     """
     size = len(f)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
+    _table_dim(size)
     if isinstance(y, GF2Vector):
         y = y.bits
     if not 0 <= y < size:
@@ -280,9 +285,7 @@ def verify_degree(f: Union[NonclassicalPolynomial, Sequence], d: int) -> DegreeC
     else:
         tbl, ld = _torus_int_table(f)
     size = len(tbl)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
+    n = _table_dim(size)
     mod = 1 << ld
     a = list(tbl)
     for i in range(n):  # subtract the bit-i-clear half from the bit-i-set half
@@ -491,9 +494,7 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
         raise ValueError("Gowers norms are defined for d >= 1")
     arr = np.asarray(f, dtype=np.float64)
     size = arr.size
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
+    n = _table_dim(size)
     if samples is None:
         _check_gowers_budget(n, d, "; pass samples= for Monte-Carlo")
         val = float(_gowers_power(arr[None], d)[0])
@@ -631,9 +632,7 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
     are deterministic; residuals are exhaustive-mode Gowers norms.
     """
     size = len(g)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
+    n = _table_dim(size)
     if C < 0:
         raise ValueError("complexity must be nonnegative")
     garr = np.array([float(v) for v in g])

@@ -67,7 +67,6 @@ from .matroid import (
     Matroid,
     Pattern,
     _coerce_pattern,
-    bose_burton,
     critical_number,
     find_instance,
     restrict,
@@ -438,59 +437,33 @@ def typical_structure_fraction(P: LocalProperty, n: int, k: int, side: int = 0) 
 
 def property_critical_number(P: LocalProperty) -> int:
     """Largest k such that all matroids vanishing (or all-ones) on a
-    codimension-k subspace belong to P, by finite certification.
+    codimension-k subspace belong to P, in closed form.
 
-    The family M(k, 0) escapes Forb(N_1..N_r) iff for some N_i the
-    ones-only weakening of N_i embeds into the Bose-Burton pattern
-    BB(min(k, dim N_i), dim N_i); side 1 symmetrically with the zeros-only
-    weakening in the complemented pattern.  Any hit converts into an
-    explicit witness matroid, which is re-verified before returning.
+    Let M(k, 0) be the matroids that vanish on a subspace of codimension at
+    most k.  M(k, 0) escapes Forb(N_1..N_r) exactly when some N_i's one
+    cells avoid a subspace of codimension <= k of F_2^(dim N_i), that is
+    when critical_number(Matroid(dim N_i, ones of N_i)) <= k: that matroid
+    is then a member of M(k, 0) containing N_i through the identity.
+    Conversely, an instance phi of N_i in a member of M(k, 0) pulls that
+    member's all-zero subspace back to a subspace of codimension <= k,
+    which avoids N_i's ones because phi maps them to one points.  Side 1
+    (all-ones subspaces) is the same with N_i's zeros.  Both families
+    escape exactly for k >= escape, the larger of the two least such k, so
+    the answer is escape - 1.
     """
     if not P.forbidden:
         raise ValueError("Forb(empty) contains every matroid: critical number unbounded")
-    dims = [N.dim for N in P.forbidden]
-    if max(dims) > 5:
+    if max(N.dim for N in P.forbidden) > 5:
         raise BudgetExceeded("certification is capped at forbidden-pattern dim 5")
-
-    def escape_witness(k: int, side: int) -> Optional[Matroid]:
-        """A matroid in M(k, side) outside P, or None if M(k, side) <= P."""
-        for N in P.forbidden:
-            d = N.dim
-            ke = min(k, d)
-            if side == 0:
-                probe, target = N.ones_only(), bose_burton(ke, d)
-            else:
-                probe, target = N.zeros_only(), bose_burton(ke, d).complement()
-            phi = find_instance(probe, target)
-            if phi is None:
-                continue
-            keep = N.ones if side == 0 else N.zeros
-            placed = _points_mask([phi.apply_bits(x) for x in _mask_points(keep)])
-            if side == 0:
-                witness = Matroid(d, placed)
-            else:
-                witness = Matroid(d, ((1 << ((1 << d) - 1)) - 1) ^ placed)
-            # self-check the witness against the definition-level formulation
-            assert not contains(P, witness)
-            side_crit = critical_number(witness if side == 0 else witness.complement())
-            assert side_crit <= ke
-            return witness
-        return None
-
-    k = 0
-    while True:
-        w0 = escape_witness(k, 0)
-        w1 = escape_witness(k, 1)
-        if w0 is not None and w1 is not None:
-            break
-        k += 1
-        if k > max(dims) + 1:
-            raise AssertionError("certification failed to terminate")
-    if k == 0:
+    escape = max(
+        min(critical_number(Matroid(N.dim, N.ones)) for N in P.forbidden),
+        min(critical_number(Matroid(N.dim, N.zeros)) for N in P.forbidden),
+    )
+    if escape == 0:
         raise ValueError(
             "trivial property: both constant families escape it at codimension 0"
         )
-    return k - 1
+    return escape - 1
 
 
 # --- Core membership -----------------------------------------------------------

@@ -28,7 +28,6 @@ from .gf2 import (
     _mask_points,
     _points_mask,
     count_linear_injections,
-    enumerate_subspaces,
     random_linear_injection,
     span_table,
 )
@@ -564,8 +563,11 @@ def critical_number(M: Matroid) -> int:
     of their leading bits set, and img plus each earlier span point is a
     zero point.  The images are then the unique reduced echelon basis of
     their span (leading-bit pivots), and every prefix is the basis of a
-    subflat, so each all-zero flat is visited exactly once.  The search
-    stops at the first flat of dimension cap, the point-count bound.
+    subflat, so each all-zero flat is visited exactly once.  Every later
+    image has a higher leading bit than img, so a flat through img has
+    dimension at most i + 1 + n - img.bit_length(); img is rejected when
+    that cannot beat the largest flat seen.  The search stops at the first
+    flat of dimension cap, the point-count bound.
     """
     n, zeros = M.dim, M.zeros_mask
     count = zeros.bit_count()
@@ -584,6 +586,8 @@ def critical_number(M: Matroid) -> int:
         lead = leads[i]
         if img.bit_length() <= lead.bit_length() or img & lead:
             return False
+        if i + n - img.bit_length() < best:
+            return False
         for x in range(1, 1 << i):
             if not is_zero[table[x] ^ img]:
                 return False
@@ -599,16 +603,15 @@ def critical_number(M: Matroid) -> int:
 
 def ext_membership(Mp: Matroid, M: Matroid, k: int) -> bool:
     """True iff M is (isomorphic to) a restriction of Mp to a subspace of
-    codimension at most k."""
+    codimension at most k.
+
+    An instance of M in Mp is an isomorphism of M onto the restriction of Mp
+    to the instance's image, and every such isomorphism is one, so this is
+    one instance search.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not M.dim <= Mp.dim <= M.dim + k:
-        return False
-    for W in enumerate_subspaces(Mp.dim, M.dim):
-        sub = restrict(Mp, W)
-        if sub.weight == M.weight and is_isomorphic(sub, M):
-            return True
-    return False
+    return M.dim <= Mp.dim <= M.dim + k and find_instance(M, Mp) is not None
 
 
 # --- samplers ----------------------------------------------------------------

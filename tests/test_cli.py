@@ -93,6 +93,15 @@ def test_critical_from_json_file(capsys, tmp_path):
     assert art["result"] == {"dim": 2, "critical": 1}
 
 
+def test_critical_line_table_dim10(capsys, tmp_path):
+    # ones on one line: no all-zero flat reaches the point-count cap, so
+    # only the bound on how far a flat can still grow ends the search early
+    path = tmp_path / "line10.txt"
+    path.write_text(Matroid(10, 0b111).to_text())
+    art = run_json(capsys, "critical", "--input", str(path))
+    assert art["result"] == {"dim": 10, "critical": 2}
+
+
 def test_instance_search(capsys):
     art = run_json(capsys, "instance", "--pattern", "I1", "--target", "ones:2",
                    "--count")
@@ -236,6 +245,14 @@ def test_decomp_probe(capsys, tmp_path):
     assert res["residual"] == pytest.approx(0.0, abs=1e-9)
     assert res["n_parts"] == 2
     assert len(res["polys"]) == 1
+
+
+def test_decomp_probe_empty_values(capsys, tmp_path):
+    path = tmp_path / "empty.vals"
+    path.write_text("")
+    code, _, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "1")
+    assert code == 1
+    assert "table length must be a power of two" in err
 
 
 def test_structured(capsys, tmp_path):

@@ -231,6 +231,19 @@ def test_degree_rejects_bad_input():
         verify_degree([TorusValue(0, 0)] * 4, -1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: derivative(f, 0),
+    lambda f: verify_degree(f, 1),
+    lambda f: gowers_norm(f, 1),
+    lambda f: best_factor_search(f, 1, 1),
+], ids=["derivative", "verify_degree", "gowers_norm", "best_factor_search"])
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_table_length_must_be_a_power_of_two(call, size):
+    # length 0 included: its bit length would give n = -1, a negative shift
+    with pytest.raises(ValueError, match="table length must be a power of two"):
+        call([Fraction(0)] * size)
+
+
 # --- factors ----------------------------------------------------------------------
 
 def test_factor_partition_single_linear():

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import binmat.hereditary as hereditary
@@ -16,6 +16,8 @@ from binmat.gf2 import (
     LinearInjections,
     Subspace,
     _image_search,
+    _mask_points,
+    _points_mask,
     _transvection_perms,
     count_linear_injections,
     random_linear_injection,
@@ -43,6 +45,7 @@ from binmat.matroid import (
     Matroid,
     Pattern,
     STAR,
+    bose_burton,
     builtin_pattern,
     builtin_pattern as bp,
     canonical_form,
@@ -744,6 +747,90 @@ def test_property_critical_number_trivial_raises():
 def test_property_critical_number_mixed_set():
     # adding a same-side pattern can only lower the critical number
     assert property_critical_number(forb(ONES3, bp("ones:2"))) == 1
+
+
+def bb_embedding_critical_number(P: LocalProperty) -> int:
+    """property_critical_number as first written: for k = 0, 1, ... embed
+    each pattern's ones-only weakening into the Bose-Burton pattern
+    BB(min(k, d), d) (side 1: its zeros-only weakening into the complement),
+    turn a hit into a witness matroid outside P, and stop at the first k
+    where both sides escape."""
+    if not P.forbidden:
+        raise ValueError("Forb(empty) contains every matroid: critical number unbounded")
+    dims = [N.dim for N in P.forbidden]
+    if max(dims) > 5:
+        raise BudgetExceeded("certification is capped at forbidden-pattern dim 5")
+
+    def escape_witness(k, side):
+        for N in P.forbidden:
+            d = N.dim
+            ke = min(k, d)
+            if side == 0:
+                probe, target = N.ones_only(), bose_burton(ke, d)
+            else:
+                probe, target = N.zeros_only(), bose_burton(ke, d).complement()
+            phi = find_instance(probe, target)
+            if phi is None:
+                continue
+            keep = N.ones if side == 0 else N.zeros
+            placed = _points_mask([phi.apply_bits(x) for x in _mask_points(keep)])
+            if side == 0:
+                witness = Matroid(d, placed)
+            else:
+                witness = Matroid(d, ((1 << ((1 << d) - 1)) - 1) ^ placed)
+            assert not contains(P, witness)
+            assert critical_number(witness if side == 0 else witness.complement()) <= ke
+            return witness
+        return None
+
+    k = 0
+    while escape_witness(k, 0) is None or escape_witness(k, 1) is None:
+        k += 1
+        assert k <= max(dims) + 1
+    if k == 0:
+        raise ValueError("trivial property: both constant families escape it at codimension 0")
+    return k - 1
+
+
+def value_or_error_type(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+DIM45_NAMES = ("ones:4", "zeros:4", "BB:1:4", "BB:2:4", "BB:3:4",
+               "ones:5", "zeros:5", "BB:1:5", "BB:2:5", "BB:3:5", "BB:4:5")
+
+
+@settings(max_examples=200, deadline=None)
+@given(pats=st.lists(st.one_of(patterns(3), st.sampled_from(DIM45_NAMES).map(bp)),
+                     min_size=1, max_size=3))
+@example(pats=[])
+@example(pats=[bp("BB:1:6")])
+@example(pats=[I1, Pattern.from_values([0])])
+def test_property_critical_number_matches_bb_embedding(pats):
+    P = forb(*pats)
+    assert (value_or_error_type(property_critical_number, P)
+            == value_or_error_type(bb_embedding_critical_number, P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pats=st.lists(patterns(3), min_size=1, max_size=3))
+def test_property_critical_number_witnesses(pats):
+    # the minimizing pattern's own one cells form a member of M(escape, 0)
+    # outside P, and the complement of its zero cells one of M(escape, 1)
+    P = forb(*pats)
+    try:
+        escape = property_critical_number(P) + 1
+    except ValueError:
+        escape = 0
+    for side in (0, 1):
+        N = min(pats, key=lambda N: critical_number(Matroid(N.dim, N.zeros if side else N.ones)))
+        W = Matroid(N.dim, N.zeros).complement() if side else Matroid(N.dim, N.ones)
+        assert find_instance(N, W) is not None
+        assert not contains(P, W)
+        assert critical_number(W.complement() if side else W) <= escape
 
 
 # --- core membership -------------------------------------------------------------------

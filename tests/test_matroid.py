@@ -14,6 +14,7 @@ from binmat.errors import BudgetExceeded
 from binmat.gf2 import (
     LinearInjections,
     Subspace,
+    enumerate_subspaces,
     random_linear_injection,
     rank,
     span_table,
@@ -628,6 +629,16 @@ def test_critical_number_weight1_dim14():
     assert time.perf_counter() - start < 2
 
 
+def test_critical_number_line_dim8_to_12():
+    # the ones hold a full line, so no flat of the point-count cap exists;
+    # before flats were bounded by how far they can still grow, the search
+    # walked every smaller all-zero flat: about 26 s at n = 8 on a 2-core box
+    start = time.perf_counter()
+    for n in range(8, 13):
+        assert critical_number(Matroid(n, 0b111)) == 2
+    assert time.perf_counter() - start < 2
+
+
 def test_critical_number_constant_dim18():
     # 2^18 - 1 zero points, one image admitted per level: testing a bit of a
     # point mask by shifting it copied the mask, so this took 2.5-2.75 s on
@@ -662,6 +673,44 @@ def test_ext_membership_uses_isomorphism():
     phi = random_linear_injection(3, 3, random.Random(2))
     E2 = apply_invertible(E, phi)
     assert ext_membership(E2, M, 1)
+
+
+def subspace_sweep_ext_membership(Mp: Matroid, M: Matroid, k: int) -> bool:
+    """ext_membership as first written: restrict Mp to each dim-M subspace
+    and test the restriction for isomorphism with M."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if not M.dim <= Mp.dim <= M.dim + k:
+        return False
+    for W in enumerate_subspaces(Mp.dim, M.dim):
+        sub = restrict(Mp, W)
+        if sub.weight == M.weight and is_isomorphic(sub, M):
+            return True
+    return False
+
+
+@st.composite
+def ext_membership_cases(draw):
+    """(Mp, M, k) with Mp of dim <= 4; M is random, or Mp pulled back along
+    a random injection (planted), or that with one cell flipped."""
+    n = draw(st.integers(0, 4))
+    d = draw(st.integers(0, n))
+    Mp = Matroid(n, draw(st.integers(0, (1 << ((1 << n) - 1)) - 1)))
+    mode = draw(st.sampled_from(["random", "planted", "flipped"]))
+    if mode == "random":
+        M = Matroid(d, draw(st.integers(0, (1 << ((1 << d) - 1)) - 1)))
+    else:
+        phi = random_linear_injection(d, n, random.Random(draw(st.integers(0, 2**32))))
+        M = Matroid.from_values([Mp(phi.apply_bits(x)) for x in range(1, 1 << d)])
+        if mode == "flipped" and d:
+            M = Matroid(d, M.table ^ 1 << draw(st.integers(0, M.n_points - 1)))
+    return Mp, M, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ext_membership_cases())
+def test_ext_membership_matches_subspace_sweep(case):
+    assert ext_membership(*case) == subspace_sweep_ext_membership(*case)
 
 
 # --- samplers ----------------------------------------------------------------------
