@@ -11,13 +11,15 @@ Each subcommand is declared once, in the command table _COMMANDS: its
 handler, which returns only its result dict, its help line, the names of
 its options (argparse settings in _OPTIONS; --seed, --budget, --out and
 --format are added to every command) and the CSV columns of its result
-rows, or None for a key,value listing.
+rows, or None for a key,value listing.  The parser is built from the table
+on the first call of main and kept for the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -419,6 +421,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     # --help shows the docstring without its last paragraph, which is about this module
     parser = _Parser(prog="binmat", description=__doc__.rsplit("\n\n", 1)[0])

@@ -58,6 +58,7 @@ GOWERS_ROW_OP_BUDGET = 1 << 16  # numpy calls on whole rows of one exhaustive U_
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
 GOWERS_BATCH_CELLS = 1 << 16  # table cells per batched residual Gowers call
+FACTOR_TABLE_CELLS = 1 << 21  # coefficient bits plus values of all candidate tables
 
 
 @dataclass(frozen=True)
@@ -357,16 +358,23 @@ def factor_partition(
 def _partition_signatures(keys: np.ndarray) -> np.ndarray:
     """First-seen part labels of each row of keys, as ids.setdefault(key,
     len(ids)) assigns them in a scan over x; O(size log size) per row."""
-    r = np.arange(len(keys))[:, None]
-    cols = np.arange(keys.shape[1])
-    order = np.argsort(keys, axis=1, kind="stable")
-    srt = keys[r, order]
+    rows, size = keys.shape
+    idx = np.arange(rows * size)  # flat positions: after the row sort, work on one axis
+    order = (np.argsort(keys, axis=1, kind="stable") + idx[::size, None]).ravel()
+    srt = keys.ravel()[order].reshape(rows, size)
+    run_start = np.ones((rows, size), dtype=bool)
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=run_start[:, 1:])
     # the stable sort puts the first occurrence of each key at the head of its run
-    run_start = np.diff(srt, axis=1, prepend=srt[:, :1] - 1) != 0
-    head = np.maximum.accumulate(np.where(run_start, cols, 0), axis=1)
+    head = np.maximum.accumulate(np.where(run_start.ravel(), idx, 0))
     first = np.empty_like(order)
-    first[r, order] = order[r, head]
-    return (np.cumsum(first == cols, axis=1) - 1)[r, first]
+    first[order] = order[head]
+    heads_upto = np.cumsum(first == idx)  # x = 0 of each row is a head, labelled 0
+    return (heads_upto[first] - np.repeat(heads_upto[::size], size)).reshape(rows, size)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous 2-d array as one opaque bytes scalar."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
 
 
 def _term_universe(n: int, d: int) -> list[tuple[int, int]]:
@@ -389,22 +397,65 @@ def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolyno
     return polys
 
 
-def _factor_candidates(n: int, d: int, C: int) -> tuple[list[NonclassicalPolynomial], np.ndarray]:
-    """The degree-d normal forms and each one's first-seen part labels;
-    refuses when too many C-multisets of them exist.  Distinct normal forms
-    have distinct value tables (the normal form is unique), so each
-    candidate is a different function."""
-    polys = enumerate_normal_form_polynomials(n, d)
-    n_multisets = math.comb(len(polys) + C - 1, C)
+def _candidate_tables(n: int, d: int) -> np.ndarray:
+    """Value tables, in units of 2^-d, of enumerate_normal_form_polynomials(n, d)
+    as one integer product (bits @ contrib) % 2^d: row r of bits holds the
+    coefficient choices of the r-th normal form (bit t of r picks term t of
+    the universe) and contrib[t, x] = 2^(d-j) when x & I == I, for term
+    t = (I, j)."""
+    universe = _term_universe(n, d)
+    if not universe:  # n = 0 or d = 0: only the zero polynomial, whatever d is
+        return np.zeros((1, 1 << n), dtype=np.int64)
+    xs = np.arange(1 << n)
+    bits = (np.arange(1 << len(universe))[:, None] >> np.arange(len(universe))) & 1
+    contrib = np.array([np.where(xs & I == I, 1 << (d - j), 0) for I, j in universe])
+    return (bits @ contrib) % (1 << d)
+
+
+def _factor_candidates(n: int, d: int, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-d normal forms that first induce each distinct partition of
+    F_2^n, as ascending indices into enumerate_normal_form_polynomials(n, d),
+    and each one's first-seen part labels.
+
+    Refuses before building any array when the 2^T normal forms over the
+    T-term universe, their C-multisets, or the cells of the product that
+    builds their tables (T coefficient bits and 2^n values per form) exceed
+    their caps.  Distinct normal forms have distinct value tables (the
+    normal form is unique), but many share a partition; a C-multiset's
+    partition depends only on its members' partitions, so the sweep needs
+    one representative per partition (see _distinct_partitions).
+    """
+    # the universe has C(n, k) masks I of size k, each with d + 1 - k depths j
+    T = sum(math.comb(n, k) * (d + 1 - k) for k in range(1, min(n, d) + 1))
+    if T >= POLY_ENUM_CAP.bit_length():  # 2^T > POLY_ENUM_CAP
+        raise BudgetExceeded(f"2^{T} candidate polynomials exceed the cap {POLY_ENUM_CAP}")
+    n_multisets = math.comb((1 << T) + C - 1, C)
     if n_multisets > POLY_ENUM_CAP:
         raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
-    return polys, _partition_signatures(np.array([P.int_table()[0] for P in polys]))
+    cells = (1 << T) * (T + (1 << n))
+    if cells > FACTOR_TABLE_CELLS:
+        raise BudgetExceeded(
+            f"{cells} candidate table cells exceed the budget of {FACTOR_TABLE_CELLS}"
+        )
+    sigs = _partition_signatures(_candidate_tables(n, d))
+    first = np.sort(np.unique(_row_keys(sigs), return_index=True)[1])
+    return first, sigs[first]
 
 
 def _distinct_partitions(sigs: np.ndarray, C: int) -> dict[bytes, tuple]:
     """The int64 label bytes of each distinct partition induced by C-multisets
     of rows of sigs, mapped to the first such multiset in combinations with
-    replacement order; one block per (C-1)-prefix, vectorized over the last."""
+    replacement order; one block per (C-1)-prefix, vectorized over the last.
+
+    Rows with equal partitions may be merged into the first of them before
+    the sweep, as _factor_candidates does, without changing any partition,
+    its owner or the order of the keys: replacing each index of a multiset
+    by the first index of its class and sorting gives a tuple that is
+    elementwise, hence lexicographically, <= the original and induces the
+    same partition.  So the first multiset of each partition in
+    combinations_with_replacement order uses representatives only, and the
+    partitions are first seen in the same order.
+    """
     R, size = sigs.shape
     if C == 0:
         return {np.zeros(size, dtype=np.int64).tobytes(): ()}
@@ -415,10 +466,9 @@ def _distinct_partitions(sigs: np.ndarray, C: int) -> dict[bytes, tuple]:
         for i in set(prefix) - {first}:  # repeats do not refine the partition
             labels = _partition_signatures(labels * size + sigs[i:i + 1])
         block = _partition_signatures(labels * size + sigs[first:])
-        buf, w = block.tobytes(), block[0].nbytes
-        for j, k in enumerate(range(0, len(buf), w), first):
-            if buf[k:k + w] not in seen:
-                seen[buf[k:k + w]] = prefix + (j,)
+        for j, key in enumerate(_row_keys(block).tolist(), first):
+            if key not in seen:
+                seen[key] = prefix + (j,)
     return seen
 
 
@@ -445,8 +495,7 @@ def count_factors(n: int, d: int, C: int) -> FactorCountReport:
     bound = n ** (d * C)
     if C == 0:
         return FactorCountReport(n, d, C, 1, bound, 1 <= bound)
-    _, sigs = _factor_candidates(n, d, C)
-    count = len(_distinct_partitions(sigs, C))
+    count = len(_distinct_partitions(_factor_candidates(n, d, C)[1], C))
     return FactorCountReport(n, d, C, count, bound, count <= bound)
 
 
@@ -636,8 +685,8 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
     if C < 0:
         raise ValueError("complexity must be nonnegative")
     garr = np.array([float(v) for v in g])
-    polys, sigs = _factor_candidates(n, d, C)
     _check_gowers_budget(n, d + 1, " (residual Gowers norms)")
+    forms, sigs = _factor_candidates(n, d, C)
     seen = _distinct_partitions(sigs, C)
     keys, owners = list(seen), list(seen.values())
     best_combo: tuple = ()
@@ -657,6 +706,11 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
             resid = max(val, 0.0) ** (1.0 / (1 << (d + 1)))
             if resid < best_res:
                 best_res, best_combo = resid, combo
-    factor = factor_partition([polys[i] for i in best_combo], n=n)
-    return factor, best_res
+    universe = _term_universe(n, d)
+    polys = [  # bit t of form r picks term t, as in enumerate_normal_form_polynomials
+        NonclassicalPolynomial(n, d, TorusValue(0, 0), frozenset(
+            universe[t] for t in range(len(universe)) if (int(forms[i]) >> t) & 1))
+        for i in best_combo
+    ]
+    return factor_partition(polys, n=n), best_res
 

@@ -408,6 +408,21 @@ def test_config_echo_keys_and_defaults(command):
         k: DEFAULTS[k] for k in keys if k not in REQUIRED}
 
 
+def test_cached_parser_matches_fresh_parser(capsys):
+    # argparse copies the --forbid default before appending to it, so one cached
+    # parser gives every call the echo a freshly built parser gives
+    runs = [["census", "--forbid", "O2", "--n", "1"], ["census", "--n", "1"], ["chi", "--forbid", "O2"]]
+    assert _build_parser() is _build_parser()
+    cached = [run(capsys, *argv)[:2] for argv in runs]
+    fresh = []
+    for argv in runs:
+        _build_parser.cache_clear()
+        fresh.append(run(capsys, *argv)[:2])
+    assert cached == fresh
+    assert [code for code, _ in cached] == [0, 0, 0]
+    assert json.loads(cached[1][1])["config"]["forbid"] == []
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 

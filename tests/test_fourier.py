@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binmat.fourier as fourier
 from binmat.errors import BudgetExceeded
 from binmat.fourier import (
     NonclassicalPolynomial,
@@ -30,6 +32,7 @@ from binmat.fourier import (
     polynomial_from_text,
     polynomial_to_text,
     verify_degree,
+    _candidate_tables,
     _gowers_power,
     _torus_int_table,
     _partition_signatures,
@@ -623,3 +626,49 @@ def test_count_factors_frozen():
     assert count_factors(3, 2, 1).count == 267
     assert count_factors(4, 1, 2).count == 51
     assert count_factors(3, 1, 2).count == 15
+    assert count_factors(3, 3, 1).count == 3636
+    assert count_factors(4, 2, 1).count == 8619
+
+
+@pytest.mark.parametrize("n,d", sorted({(n, d) for n, d, _ in PROBE_SHAPES} | {(3, 2), (3, 3)}))
+def test_candidate_tables_match_int_table(n, d):
+    tables = _candidate_tables(n, d)
+    assert tables.tolist() == [list(P.int_table()[0]) for P in enumerate_normal_form_polynomials(n, d)]
+
+
+# (seed, n, d, C, levels) -> sha256 of (part_ids, polynomial texts, residual.hex()) of
+# best_factor_search on seeded values k / (levels - 1); few levels make the winning
+# factor depend on the input
+FROZEN_PROBES = [
+    (0, 3, 2, 2, 3, "9bfcea8cce4d3711308d9835104ee38dd670c612b08bd8c7340ff9fafe72235c"),
+    (1, 3, 2, 2, 3, "24c3156fd1f0ea4bdaaa03edb034e43a56d8a36599d88d531bdc4976731eaa35"),
+    (2, 3, 2, 2, 3, "ecd7bd9af29cba0e2b7b38a0120ec614682c158451edbd75bef518d5dda265ad"),
+    (3, 3, 2, 2, 3, "3b32598006b5b82bfd1837480ebea88da71a84b30da13f2199bcc8a72525186b"),
+    (4, 3, 2, 2, 3, "113c2e286ac70995c87614f8bb5406c355b6c2890f5843c20cbfa8d41e733890"),
+    (5, 3, 2, 2, 3, "56adb07cd21233602154eeccce534df5b4dbba2c1ee90059a0644182809cc9bb"),
+    (0, 4, 2, 1, 17, "f457082127190bec4237ebe1ffc75c4671de885760d3a4c76ea21b5a69f8a247"),
+    (1, 4, 2, 1, 17, "11c7b848db38e98afbfb79d8faff25f7834547878d317c4851cd79837095605c"),
+]
+
+
+@pytest.mark.parametrize("seed,n,d,C,levels,digest", FROZEN_PROBES)
+def test_best_factor_frozen(seed, n, d, C, levels, digest):
+    rng = random.Random(seed)
+    g = [Fraction(rng.randrange(levels), levels - 1) for _ in range(1 << n)]
+    factor, residual = best_factor_search(g, d, C)
+    blob = repr((factor.part_ids, [polynomial_to_text(P) for P in factor.polys], residual.hex()))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+def test_factor_refusals_build_no_tables(monkeypatch):
+    def fail(*args):
+        raise AssertionError("candidates built before the refusal")
+
+    # 2^20 forms pass the form and multiset caps; their 2^20 x (20 + 2^20) cells do not
+    monkeypatch.setattr(fourier, "_candidate_tables", fail)
+    with pytest.raises(BudgetExceeded, match="candidate table cells"):
+        count_factors(20, 1, 1)
+    # the 1024 forms of degree 1 at n = 10 would fit; the residual U_2 norms do not
+    monkeypatch.setattr(fourier, "_factor_candidates", fail)
+    with pytest.raises(BudgetExceeded, match="residual Gowers"):
+        best_factor_search([0.0] * 1024, 1, 1)
