@@ -382,14 +382,21 @@ def _term_universe(n: int, d: int) -> list[tuple[int, int]]:
     return [(I, j) for I in range(1, 1 << n) for j in range(1, d + 2 - I.bit_count())]
 
 
+def _term_count(n: int, d: int) -> int:
+    """len(_term_universe(n, d)) in closed form: C(n, k) masks I of size k,
+    each with d + 1 - k depths j.  Refuses when the 2^T normal forms over
+    the T terms exceed POLY_ENUM_CAP, before any term is listed."""
+    T = sum(math.comb(n, k) * (d + 1 - k) for k in range(1, min(n, d) + 1))
+    if T >= POLY_ENUM_CAP.bit_length():  # 2^T > POLY_ENUM_CAP
+        raise BudgetExceeded(f"2^{T} candidate polynomials exceed the cap {POLY_ENUM_CAP}")
+    return T
+
+
 def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolynomial]:
     """All degree-<=d homogeneous normal forms (alpha = 0, all coefficient
     choices over the term universe)."""
+    _term_count(n, d)
     universe = _term_universe(n, d)
-    if 1 << len(universe) > POLY_ENUM_CAP:
-        raise BudgetExceeded(
-            f"2^{len(universe)} candidate polynomials exceed the cap {POLY_ENUM_CAP}"
-        )
     polys = []
     for bits in range(1 << len(universe)):
         terms = frozenset(universe[i] for i in range(len(universe)) if (bits >> i) & 1)
@@ -422,13 +429,14 @@ def _factor_candidates(n: int, d: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     builds their tables (T coefficient bits and 2^n values per form) exceed
     their caps.  Distinct normal forms have distinct value tables (the
     normal form is unique), but many share a partition; a C-multiset's
-    partition depends only on its members' partitions, so the sweep needs
-    one representative per partition (see _distinct_partitions).
+    partition depends only on its members' partitions.  Replacing each
+    member of a multiset by the first form of its class and sorting gives a
+    multiset that is elementwise, hence lexicographically, no later and
+    induces the same partition, so the first multiset of each partition
+    uses these forms only, and the level-wise sweep of _distinct_partitions
+    starts from one row per partition.
     """
-    # the universe has C(n, k) masks I of size k, each with d + 1 - k depths j
-    T = sum(math.comb(n, k) * (d + 1 - k) for k in range(1, min(n, d) + 1))
-    if T >= POLY_ENUM_CAP.bit_length():  # 2^T > POLY_ENUM_CAP
-        raise BudgetExceeded(f"2^{T} candidate polynomials exceed the cap {POLY_ENUM_CAP}")
+    T = _term_count(n, d)
     n_multisets = math.comb((1 << T) + C - 1, C)
     if n_multisets > POLY_ENUM_CAP:
         raise BudgetExceeded(f"{n_multisets} factor candidates exceed the cap")
@@ -442,34 +450,92 @@ def _factor_candidates(n: int, d: int, C: int) -> tuple[np.ndarray, np.ndarray]:
     return first, sigs[first]
 
 
-def _distinct_partitions(sigs: np.ndarray, C: int) -> dict[bytes, tuple]:
-    """The int64 label bytes of each distinct partition induced by C-multisets
-    of rows of sigs, mapped to the first such multiset in combinations with
-    replacement order; one block per (C-1)-prefix, vectorized over the last.
+def _same_part_words(sigs: np.ndarray) -> np.ndarray:
+    """Each row of part labels as packed native uint64 words: bit k (little
+    bit order) is set iff the points x < y of the k-th pair of
+    np.triu_indices(size, 1) share a part, zero padded to whole words (one
+    word when there are no pairs).  The common refinement of two partitions
+    is the AND of their words.  Rows are compared in blocks of at most
+    GOWERS_BATCH_CELLS pairs."""
+    rows, size = sigs.shape
+    x, y = np.triu_indices(size, 1)
+    words = np.zeros((rows, max(1, -(-len(x) // 64))), dtype=np.uint64)
+    packed = words.view(np.uint8)
+    step = max(1, GOWERS_BATCH_CELLS // max(1, len(x)))
+    for lo in range(0, rows, step):
+        block = sigs[lo:lo + step]
+        bits = np.packbits(block[:, x] == block[:, y], axis=1, bitorder="little")
+        packed[lo:lo + step, :bits.shape[1]] = bits
+    return words
 
-    Rows with equal partitions may be merged into the first of them before
-    the sweep, as _factor_candidates does, without changing any partition,
-    its owner or the order of the keys: replacing each index of a multiset
-    by the first index of its class and sorting gives a tuple that is
-    elementwise, hence lexicographically, <= the original and induces the
-    same partition.  So the first multiset of each partition in
-    combinations_with_replacement order uses representatives only, and the
-    partitions are first seen in the same order.
+
+def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first-seen labels of each distinct partition induced by the
+    C-multisets of rows of sigs, and the first such multiset (its owner) as
+    a row of ascending indices, both in combinations with replacement order.
+    The rows of sigs must be the first-seen labels of distinct partitions,
+    as _factor_candidates returns them.
+
+    Level 1 is the identity: owner (i,) for row i.  Level c extends each
+    owner o of level c-1 by every j >= o[-1], takes the candidate's
+    partition as the AND of the _same_part_words of o's partition and row
+    j, and keeps the first candidate of each distinct word vector.  That
+    finds the same owners as a sweep over all C-multisets.  Let a be the
+    first multiset of a partition q, and b the first multiset of the
+    partition p of a[:-1].  If b != a[:-1], then b < a[:-1], and
+    sorted(b + (a[-1],)) induces q (p refined by row a[-1]) and is < a:
+    inserting a[-1] >= max(a[:-1]) into both keeps the first position where
+    they differ.  So a extends an owner of level c-1.  Those owners are in
+    combinations with replacement order, hence so are their extensions, and
+    the first candidate of q is a.
+
+    A level's candidates are distinct C-multisets of the rows, so there are
+    no more of them than the multiset cap of _factor_candidates allows.
+    They are deduplicated in blocks of at most GOWERS_BATCH_CELLS cells,
+    counting a row's words or its labels, whichever are more, and each
+    block's first rows get their labels from their owner's by one
+    _partition_signatures call.  Those labels, in the smallest unsigned
+    type that holds size - 1, carry the partitions seen so far across the
+    blocks in order; they take one byte per point up to size 256, where the
+    words take about size / 16.  The words of a level's owners are kept
+    only when another level follows.
     """
     R, size = sigs.shape
     if C == 0:
-        return {np.zeros(size, dtype=np.int64).tobytes(): ()}
-    seen: dict[bytes, tuple] = {}
-    for prefix in itertools.combinations_with_replacement(range(R), C - 1):
-        first = prefix[-1] if prefix else 0
-        labels = sigs[first:first + 1] if prefix else 0
-        for i in set(prefix) - {first}:  # repeats do not refine the partition
-            labels = _partition_signatures(labels * size + sigs[i:i + 1])
-        block = _partition_signatures(labels * size + sigs[first:])
-        for j, key in enumerate(_row_keys(block).tolist(), first):
-            if key not in seen:
-                seen[key] = prefix + (j,)
-    return seen
+        return np.zeros((1, size), dtype=np.int64), np.zeros((1, 0), dtype=np.int32)
+    if C == 1 or R == 1:  # repeating a row does not refine its partition
+        return sigs, np.repeat(np.arange(R, dtype=np.int32)[:, None], C, axis=1)
+    row_words = _same_part_words(sigs)
+    words, labels, last = row_words, sigs, np.arange(R, dtype=np.int32)
+    links = []  # per level: each owner's index in the level below, and its last index
+    step = max(1, GOWERS_BATCH_CELLS // max(size, words.shape[1]))
+    key_type = np.min_scalar_type(size - 1)  # labels are < size
+    for level in range(2, C + 1):
+        ext = R - last  # candidates o + (j,) for j = o[-1], ..., R - 1
+        row = np.repeat(np.arange(len(last), dtype=np.int32), ext)
+        j = np.arange(len(row), dtype=np.int32)
+        j += np.repeat((last - np.cumsum(ext) + ext).astype(np.int32), ext)
+        seen: dict[bytes, int] = {}
+        for lo in range(0, len(row), step):
+            own, js = row[lo:lo + step], j[lo:lo + step]
+            block = words[own]
+            block &= row_words[js]
+            keys = block[:, 0] if block.shape[1] == 1 else _row_keys(block)
+            first = np.sort(np.unique(keys, return_index=True)[1])
+            new = _partition_signatures(labels[own[first]] * size + sigs[js[first]])
+            for key, i in zip(_row_keys(new.astype(key_type)).tolist(), (first + lo).tolist()):
+                seen.setdefault(key, i)
+        kept = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+        labels = np.frombuffer(b"".join(seen), dtype=key_type).reshape(-1, size).astype(np.int64)
+        own, last = row[kept], j[kept]
+        links.append((own, last))
+        if level < C:
+            words = words[own] & row_words[last]
+    cols, at = [], np.arange(len(last))
+    for own, js in reversed(links):
+        cols.append(js[at])
+        at = own[at]
+    return labels, np.column_stack([at] + cols[::-1])
 
 
 @dataclass(frozen=True)
@@ -495,7 +561,7 @@ def count_factors(n: int, d: int, C: int) -> FactorCountReport:
     bound = n ** (d * C)
     if C == 0:
         return FactorCountReport(n, d, C, 1, bound, 1 <= bound)
-    count = len(_distinct_partitions(_factor_candidates(n, d, C)[1], C))
+    count = len(_distinct_partitions(_factor_candidates(n, d, C)[1], C)[0])
     return FactorCountReport(n, d, C, count, bound, count <= bound)
 
 
@@ -687,13 +753,12 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
     garr = np.array([float(v) for v in g])
     _check_gowers_budget(n, d + 1, " (residual Gowers norms)")
     forms, sigs = _factor_candidates(n, d, C)
-    seen = _distinct_partitions(sigs, C)
-    keys, owners = list(seen), list(seen.values())
-    best_combo: tuple = ()
+    partitions, owners = _distinct_partitions(sigs, C)
+    best_combo: Sequence[int] = ()
     best_res = math.inf
     step = max(1, GOWERS_BATCH_CELLS // size)
-    for lo in range(0, len(keys), step):
-        labels = np.frombuffer(b"".join(keys[lo:lo + step]), dtype=np.int64).reshape(-1, size)
+    for lo in range(0, len(partitions), step):
+        labels = partitions[lo:lo + step]
         # g - E[g|B]: part sums run over ascending x, as in conditional_expectation
         rows = np.arange(len(labels))
         sums, counts = np.zeros(labels.shape), np.zeros(labels.shape)
@@ -702,10 +767,10 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
             counts[rows, labels[:, x]] += 1
         proj = np.take_along_axis(sums, labels, axis=1) / np.take_along_axis(counts, labels, axis=1)
         powers = _gowers_power(garr - proj, d + 1).tolist()
-        for combo, val in zip(owners[lo:lo + step], powers):
+        for i, val in enumerate(powers, lo):
             resid = max(val, 0.0) ** (1.0 / (1 << (d + 1)))
             if resid < best_res:
-                best_res, best_combo = resid, combo
+                best_res, best_combo = resid, owners[i]
     universe = _term_universe(n, d)
     polys = [  # bit t of form r picks term t, as in enumerate_normal_form_polynomials
         NonclassicalPolynomial(n, d, TorusValue(0, 0), frozenset(

@@ -33,7 +33,12 @@ from binmat.fourier import (
     polynomial_to_text,
     verify_degree,
     _candidate_tables,
+    _distinct_partitions,
     _gowers_power,
+    _row_keys,
+    _same_part_words,
+    _term_count,
+    _term_universe,
     _torus_int_table,
     _partition_signatures,
 )
@@ -628,6 +633,82 @@ def test_count_factors_frozen():
     assert count_factors(3, 1, 2).count == 15
     assert count_factors(3, 3, 1).count == 3636
     assert count_factors(4, 2, 1).count == 8619
+    # measured with the per-prefix sweep (_oracle_distinct_partitions below)
+    assert count_factors(4, 1, 3).count == 66
+    assert count_factors(3, 1, 3).count == 16
+    assert count_factors(2, 2, 3).count == 15
+    assert count_factors(5, 1, 2).count == 187
+    assert count_factors(5, 1, 3).count == 342
+    assert count_factors(5, 1, 4).count == 373
+    assert count_factors(5, 1, 5).count == 374
+
+
+def _oracle_distinct_partitions(sigs, C):
+    """The per-prefix sweep that _distinct_partitions replaced: one
+    _partition_signatures block per (C-1)-prefix in combinations with
+    replacement order, vectorized over the last index, each new label row
+    mapped to its first multiset."""
+    R, size = sigs.shape
+    if C == 0:
+        return np.zeros((1, size), dtype=np.int64), np.zeros((1, 0), dtype=np.int64)
+    seen = {}
+    for prefix in itertools.combinations_with_replacement(range(R), C - 1):
+        first = prefix[-1] if prefix else 0
+        labels = sigs[first:first + 1] if prefix else 0
+        for i in set(prefix) - {first}:  # repeats do not refine the partition
+            labels = _partition_signatures(labels * size + sigs[i:i + 1])
+        block = _partition_signatures(labels * size + sigs[first:])
+        for j, key in enumerate(_row_keys(block).tolist(), first):
+            if key not in seen:
+                seen[key] = prefix + (j,)
+    labels = np.frombuffer(b"".join(seen), dtype=np.int64).reshape(-1, size)
+    return labels, np.array(list(seen.values()), dtype=np.int64).reshape(len(seen), C)
+
+
+@st.composite
+def distinct_label_rows(draw):
+    """Distinct first-seen label rows over few values, so that refinements
+    of different multisets often coincide.  A head of size // 2 points in a
+    part of their own makes every row agree on the first word at sizes 16
+    and 32, so that rows differ only in later words."""
+    size = draw(st.sampled_from([1, 2, 4, 8, 16, 32]))
+    head = draw(st.sampled_from([0, size // 2]))
+    values = st.integers(1 if head else 0, draw(st.sampled_from([1, 3, 7])))
+    tails = st.lists(values, min_size=size - head, max_size=size - head)
+    rows = [[0] * head + tail for tail in draw(st.lists(tails, min_size=1, max_size=6))]
+    sigs = list(dict.fromkeys(_oracle_signature([row], size) for row in rows))
+    return np.array(sigs, dtype=np.int64).reshape(len(sigs), size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(distinct_label_rows(), st.integers(0, 4), st.sampled_from([1, 7, 1 << 16]))
+def test_distinct_partitions_match_prefix_sweep(sigs, C, batch):
+    # small batches split every level into many blocks, so the partitions
+    # seen in earlier blocks carry over
+    saved = fourier.GOWERS_BATCH_CELLS
+    fourier.GOWERS_BATCH_CELLS = batch
+    try:
+        labels, owners = _distinct_partitions(sigs, C)
+    finally:
+        fourier.GOWERS_BATCH_CELLS = saved
+    oracle_labels, oracle_owners = _oracle_distinct_partitions(sigs, C)
+    assert labels.tolist() == oracle_labels.tolist()
+    assert owners.tolist() == oracle_owners.tolist()
+
+
+@pytest.mark.parametrize("size,n_words", [(1, 1), (2, 1), (8, 1), (16, 2), (32, 8)])
+def test_same_part_words_and_is_refinement(size, n_words):
+    rng = random.Random(size)
+    x, y = np.triu_indices(size, 1)
+    for _ in range(20):
+        k = rng.choice((2, 3, size))
+        a, b = (np.array([[rng.randrange(k) for _ in range(size)]]) for _ in range(2))
+        wa, wb = _same_part_words(a), _same_part_words(b)
+        assert wa.shape == (1, n_words) and wa.dtype == np.uint64
+        bits = np.unpackbits(wa.view(np.uint8), bitorder="little")
+        assert bits[:len(x)].tolist() == (a[0, x] == a[0, y]).tolist()
+        assert not bits[len(x):].any()
+        assert (wa & wb).tolist() == _same_part_words(_partition_signatures(a * size + b)).tolist()
 
 
 @pytest.mark.parametrize("n,d", sorted({(n, d) for n, d, _ in PROBE_SHAPES} | {(3, 2), (3, 3)}))
@@ -658,6 +739,30 @@ def test_best_factor_frozen(seed, n, d, C, levels, digest):
     factor, residual = best_factor_search(g, d, C)
     blob = repr((factor.part_ids, [polynomial_to_text(P) for P in factor.polys], residual.hex()))
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,d", [(0, 3), (1, 0), (2, 2), (2, 6), (3, 3), (4, 1), (5, 2)])
+def test_term_count_matches_universe(n, d):
+    assert _term_count(n, d) == len(_term_universe(n, d))
+
+
+def test_term_count_cap_boundary():
+    assert _term_count(20, 1) == 20  # 2^20 forms: exactly the cap
+    with pytest.raises(BudgetExceeded, match="2\\^21 candidate polynomials"):
+        _term_count(21, 1)
+
+
+def test_normal_form_refusal_lists_no_terms(monkeypatch):
+    def fail(*args):
+        raise AssertionError("term universe built before the refusal")
+
+    monkeypatch.setattr(fourier, "_term_universe", fail)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="2\\^22 candidate polynomials"):
+        enumerate_normal_form_polynomials(22, 1)
+    with pytest.raises(BudgetExceeded, match="candidate polynomials"):
+        enumerate_normal_form_polynomials(30, 1)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_factor_refusals_build_no_tables(monkeypatch):
