@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -300,18 +301,8 @@ def _cmd_ext_count(args):
     M = _matroid_arg(args.input)
     Np = _pattern_arg(args.pattern)
     rep = count_free_extensions(M, int(args.n), Np)
-    return {
-        "count": str(rep.count),
-        "total": str(rep.total),
-        "base_dim": rep.base_dim,
-        "ambient_dim": rep.ambient_dim,
-        "pattern_dim": rep.pattern_dim,
-        "codim": rep.codim,
-        "applicable": rep.applicable,
-        "epsilon": rep.epsilon,
-        "bound_log2": rep.bound_log2,
-        "bound_holds": rep.holds,
-    }
+    return {**dataclasses.asdict(rep), "count": str(rep.count), "total": str(rep.total),
+            "bound_holds": rep.holds}
 
 
 def _cmd_o2_check(args):

@@ -392,16 +392,18 @@ def _term_count(n: int, d: int) -> int:
     return T
 
 
+def _normal_forms(n: int, d: int, rows: Iterable[int]) -> list[NonclassicalPolynomial]:
+    """The degree-<=d homogeneous normal forms (alpha = 0) numbered by rows:
+    bit t of row r picks term t of _term_universe(n, d)."""
+    universe = _term_universe(n, d)
+    return [NonclassicalPolynomial(n, d, TorusValue(0, 0), frozenset(
+        term for t, term in enumerate(universe) if r >> t & 1)) for r in rows]
+
+
 def enumerate_normal_form_polynomials(n: int, d: int) -> list[NonclassicalPolynomial]:
     """All degree-<=d homogeneous normal forms (alpha = 0, all coefficient
     choices over the term universe)."""
-    _term_count(n, d)
-    universe = _term_universe(n, d)
-    polys = []
-    for bits in range(1 << len(universe)):
-        terms = frozenset(universe[i] for i in range(len(universe)) if (bits >> i) & 1)
-        polys.append(NonclassicalPolynomial(n, d, TorusValue(0, 0), terms))
-    return polys
+    return _normal_forms(n, d, range(1 << _term_count(n, d)))
 
 
 def _candidate_tables(n: int, d: int) -> np.ndarray:
@@ -489,6 +491,14 @@ def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarr
     combinations with replacement order, hence so are their extensions, and
     the first candidate of q is a.
 
+    When row 0 is the trivial partition, as form 0 is in _factor_candidates,
+    (0,) + o induces o's partition, so each level holds the partitions of
+    the one below.  A level that adds none refines them by one row into
+    themselves, so no later level adds any, and a first multiset one level
+    up starts with 0 (as (0,) + o precedes every multiset without one) and
+    has the first owner o as its tail.  So the sweep stops at that level
+    and pads its owners with leading zeros.
+
     A level's candidates are distinct C-multisets of the rows, so there are
     no more of them than the multiset cap of _factor_candidates allows.
     They are deduplicated in blocks of at most GOWERS_BATCH_CELLS cells,
@@ -503,14 +513,15 @@ def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarr
     R, size = sigs.shape
     if C == 0:
         return np.zeros((1, size), dtype=np.int64), np.zeros((1, 0), dtype=np.int32)
+    owners = np.arange(R, dtype=np.int32)[:, None]
     if C == 1 or R == 1:  # repeating a row does not refine its partition
-        return sigs, np.repeat(np.arange(R, dtype=np.int32)[:, None], C, axis=1)
+        return sigs, np.repeat(owners, C, axis=1)
     row_words = _same_part_words(sigs)
-    words, labels, last = row_words, sigs, np.arange(R, dtype=np.int32)
-    links = []  # per level: each owner's index in the level below, and its last index
+    words, labels = row_words, sigs
     step = max(1, GOWERS_BATCH_CELLS // max(size, words.shape[1]))
     key_type = np.min_scalar_type(size - 1)  # labels are < size
     for level in range(2, C + 1):
+        last = owners[:, -1]
         ext = R - last  # candidates o + (j,) for j = o[-1], ..., R - 1
         row = np.repeat(np.arange(len(last), dtype=np.int32), ext)
         j = np.arange(len(row), dtype=np.int32)
@@ -527,15 +538,14 @@ def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarr
                 seen.setdefault(key, i)
         kept = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
         labels = np.frombuffer(b"".join(seen), dtype=key_type).reshape(-1, size).astype(np.int64)
-        own, last = row[kept], j[kept]
-        links.append((own, last))
+        saturated = len(kept) == len(owners) and not sigs[0].any()
+        own = row[kept]
+        owners = np.column_stack([owners[own], j[kept]])
+        if saturated:
+            return labels, np.pad(owners, ((0, 0), (C - level, 0)))
         if level < C:
-            words = words[own] & row_words[last]
-    cols, at = [], np.arange(len(last))
-    for own, js in reversed(links):
-        cols.append(js[at])
-        at = own[at]
-    return labels, np.column_stack([at] + cols[::-1])
+            words = words[own] & row_words[owners[:, -1]]
+    return labels, owners
 
 
 @dataclass(frozen=True)
@@ -748,8 +758,8 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
     """
     size = len(g)
     n = _table_dim(size)
-    if C < 0:
-        raise ValueError("complexity must be nonnegative")
+    if d < 0 or C < 0:  # before the budget check: U_(d+1) recurses down to U_1
+        raise ValueError("degree and complexity must be nonnegative")
     garr = np.array([float(v) for v in g])
     _check_gowers_budget(n, d + 1, " (residual Gowers norms)")
     forms, sigs = _factor_candidates(n, d, C)
@@ -771,11 +781,6 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
             resid = max(val, 0.0) ** (1.0 / (1 << (d + 1)))
             if resid < best_res:
                 best_res, best_combo = resid, owners[i]
-    universe = _term_universe(n, d)
-    polys = [  # bit t of form r picks term t, as in enumerate_normal_form_polynomials
-        NonclassicalPolynomial(n, d, TorusValue(0, 0), frozenset(
-            universe[t] for t in range(len(universe)) if (int(forms[i]) >> t) & 1))
-        for i in best_combo
-    ]
+    polys = _normal_forms(n, d, (int(forms[i]) for i in best_combo))
     return factor_partition(polys, n=n), best_res
 

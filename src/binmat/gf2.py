@@ -73,8 +73,9 @@ def _check_dim(n: int) -> None:
 
 
 def _reduce(v: int, basis: Iterable[int]) -> int:
-    """v reduced by a reduced echelon basis (lowest-set-bit pivots); zero
-    iff v lies in its span."""
+    """v reduced by an echelon basis (lowest-set-bit pivots, no vector
+    holding the pivot of one before it, as rref's and any list of vectors
+    each reduced by those before it); zero iff v lies in its span."""
     for b in basis:
         if v & (b & -b):
             v ^= b
@@ -605,13 +606,13 @@ def random_linear_injection(d: int, n: int, rng) -> LinearMap:
         raise ValueError(f"no injections from dim {d} into dim {n}")
     _check_dim(n)
     images: list[int] = []
-    basis: list[int] = []
+    basis: list[int] = []  # each image reduced by those before it: an echelon basis
     for _ in range(d):
         img = rng.randrange(1, 1 << n)
-        while not _reduce(img, basis):
+        while not (reduced := _reduce(img, basis)):
             img = rng.randrange(1, 1 << n)
         images.append(img)
-        basis = list(rref(basis + [img]))
+        basis.append(reduced)
     return LinearMap(d, n, tuple(images))
 
 

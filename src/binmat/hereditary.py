@@ -145,8 +145,7 @@ def _pattern_orbit(N: Pattern) -> tuple:
     it moves the cell of perm[x] onto x.  Raises BudgetExceeded once the
     orbit passes PATTERN_ORBIT_CAP (a dim-5 pattern fixed only by the
     identity has 9,999,360)."""
-    cells = "*" + "".join("1" if N.ones >> p & 1 else "0" if N.zeros >> p & 1 else "*"
-                          for p in range((1 << N.dim) - 1))
+    cells = "*" + N.cells()
     moves = [itemgetter(*perm) for perm in _transvection_perms(N.dim)]
     seen = {cells}
     todo = [cells]
@@ -290,10 +289,13 @@ def _sweep(nbits: int, constraints) -> int:
 
 def _check_dim(n: int, fixed_points: int = 0) -> None:
     """The one refusal of the exact counts, before any constraint is built:
-    ValueError for n < 0, BudgetExceeded past 2^CENSUS_MAX_DIM - 1 free
-    table bits, which with nothing pinned is any n > CENSUS_MAX_DIM."""
+    ValueError for n < 0 or fixed_points outside [0, 2^n - 1], BudgetExceeded
+    past 2^CENSUS_MAX_DIM - 1 free table bits, which with nothing pinned is
+    any n > CENSUS_MAX_DIM."""
     if n < 0:
         raise ValueError(f"dimension must be nonnegative, got n={n}")
+    if fixed_points < 0 or fixed_points >> n:  # >= 2^n, without building 2^n
+        raise ValueError(f"fixed_points must be in [0, 2^{n} - 1], got {fixed_points}")
     free = (1 << n) - 1 - fixed_points if n < 64 else "over 2^63"  # no huge int for a huge n
     cap = (1 << CENSUS_MAX_DIM) - 1
     if isinstance(free, str) or free > cap:
@@ -453,8 +455,8 @@ def property_critical_number(P: LocalProperty) -> int:
     """
     if not P.forbidden:
         raise ValueError("Forb(empty) contains every matroid: critical number unbounded")
-    if max(N.dim for N in P.forbidden) > 5:
-        raise BudgetExceeded("certification is capped at forbidden-pattern dim 5")
+    if max(N.dim for N in P.forbidden) > SUBSPACE_ENUM_MAX_DIM:
+        raise BudgetExceeded(f"critical numbers are capped at forbidden-pattern dim {SUBSPACE_ENUM_MAX_DIM}")
     escape = max(
         min(critical_number(Matroid(N.dim, N.ones)) for N in P.forbidden),
         min(critical_number(Matroid(N.dim, N.zeros)) for N in P.forbidden),

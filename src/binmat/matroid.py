@@ -29,6 +29,7 @@ from .gf2 import (
     _points_mask,
     count_linear_injections,
     random_linear_injection,
+    span_step,
     span_table,
 )
 
@@ -523,7 +524,7 @@ def is_k_affine(A: Pattern, k: int) -> bool:
     """True iff A's star set (plus 0) is a subspace of codimension exactly k.
 
     The star count must be 2^(dim-k) - 1; then the stars form that subspace
-    iff their span, grown by doubling, never needs more than dim-k vectors.
+    iff their span, grown by span_step, never needs more than dim-k vectors.
     """
     r = A.dim - k
     if not 0 <= r <= A.dim or A.stars.bit_count() != (1 << r) - 1:
@@ -533,9 +534,7 @@ def is_k_affine(A: Pattern, k: int) -> bool:
         if p not in seen:
             if len(span) == 1 << r:
                 return False
-            new = [q ^ p for q in span]
-            span += new
-            seen.update(new)
+            seen.update(span_step(span, len(span).bit_length() - 1, p))  # level log2 len(span)
     return True
 
 

@@ -77,6 +77,13 @@ def test_chi_values(capsys):
     assert run_json(capsys, "chi", "--forbid", "ones3")["result"]["chi"] == 2
 
 
+def test_chi_past_dim_5(capsys):
+    # the closed form answers up to the subspace-search cap of dim 8
+    assert run_json(capsys, "chi", "--forbid", "BB:1:6")["result"]["chi"] == 0
+    art = run_json(capsys, "entropy-table", "--forbid", "BB:1:6", "--n", "1:3")
+    assert art["result"]["chi"] == 0
+
+
 def test_critical_from_file(capsys, tmp_path):
     M = Matroid.constant(3, 1)
     path = tmp_path / "ones3.mat"
@@ -253,6 +260,16 @@ def test_decomp_probe_empty_values(capsys, tmp_path):
     code, _, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "1")
     assert code == 1
     assert "table length must be a power of two" in err
+
+
+def test_decomp_probe_negative_degree(capsys, tmp_path):
+    # refused before the residual U_(d+1) budget check, whose recursion
+    # never reaches U_1 from d + 1 = 0
+    path = tmp_path / "g.vals"
+    path.write_text("1/2 0\n")
+    code, out, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "-1", "--k", "1")
+    assert code == 1 and out == ""
+    assert "binmat: error:" in err and "Traceback" not in err
 
 
 def test_structured(capsys, tmp_path):

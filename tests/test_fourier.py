@@ -34,6 +34,7 @@ from binmat.fourier import (
     verify_degree,
     _candidate_tables,
     _distinct_partitions,
+    _factor_candidates,
     _gowers_power,
     _row_keys,
     _same_part_words,
@@ -691,6 +692,17 @@ def test_distinct_partitions_match_prefix_sweep(sigs, C, batch):
         labels, owners = _distinct_partitions(sigs, C)
     finally:
         fourier.GOWERS_BATCH_CELLS = saved
+    oracle_labels, oracle_owners = _oracle_distinct_partitions(sigs, C)
+    assert labels.tolist() == oracle_labels.tolist()
+    assert owners.tolist() == oracle_owners.tolist()
+
+
+@pytest.mark.parametrize("n,d,C", [(1, 1, 6), (2, 1, 8), (3, 1, 6)])
+def test_distinct_partitions_stop_at_saturation(n, d, C):
+    # the partitions stop growing before level C, so the sweep stops early
+    # and pads the owners with form 0
+    sigs = _factor_candidates(n, d, C)[1]
+    labels, owners = _distinct_partitions(sigs, C)
     oracle_labels, oracle_owners = _oracle_distinct_partitions(sigs, C)
     assert labels.tolist() == oracle_labels.tolist()
     assert owners.tolist() == oracle_owners.tolist()

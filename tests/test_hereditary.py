@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import binmat.hereditary as hereditary
 from binmat.errors import BudgetExceeded
 from binmat.gf2 import (
+    SUBSPACE_ENUM_MAX_DIM,
     LinearInjections,
     Subspace,
     _image_search,
@@ -409,6 +410,13 @@ def test_count_members_free_bit_cap():
         count_members(6, ((1, 0),))
 
 
+def test_count_members_rejects_pins_out_of_range():
+    # refused before any constraint is read (None would fail there), naming the range
+    for bad in (-1, 1 << 3):
+        with pytest.raises(ValueError, match=f"fixed_points must be in \\[0, 2\\^3 - 1\\], got {bad}"):
+            count_members(3, None, None, fixed_points=bad)
+
+
 def test_count_members_with_fixed_prefix():
     # fixing the first point to 1 halves the unconstrained census
     total, _ = count_members(3, (), fixed_points=1, fixed_ones=1)
@@ -758,8 +766,8 @@ def bb_embedding_critical_number(P: LocalProperty) -> int:
     if not P.forbidden:
         raise ValueError("Forb(empty) contains every matroid: critical number unbounded")
     dims = [N.dim for N in P.forbidden]
-    if max(dims) > 5:
-        raise BudgetExceeded("certification is capped at forbidden-pattern dim 5")
+    if max(dims) > SUBSPACE_ENUM_MAX_DIM:
+        raise BudgetExceeded(f"certification is capped at forbidden-pattern dim {SUBSPACE_ENUM_MAX_DIM}")
 
     def escape_witness(k, side):
         for N in P.forbidden:
@@ -808,6 +816,7 @@ DIM45_NAMES = ("ones:4", "zeros:4", "BB:1:4", "BB:2:4", "BB:3:4",
                      min_size=1, max_size=3))
 @example(pats=[])
 @example(pats=[bp("BB:1:6")])
+@example(pats=[bp("BB:1:9")])
 @example(pats=[I1, Pattern.from_values([0])])
 def test_property_critical_number_matches_bb_embedding(pats):
     P = forb(*pats)
