@@ -11,8 +11,8 @@ Each subcommand is declared once, in the command table _COMMANDS: its
 handler, which returns only its result dict, its help line, the names of
 its options (argparse settings in _OPTIONS; --seed, --budget, --out and
 --format are added to every command) and the CSV columns of its result
-rows, or None for a key,value listing.  The parser is built from the table
-on the first call of main and kept for the rest of the process.
+rows, or None for a key,value listing.  main builds the parser from the
+table, for the one subcommand it runs, and keeps it for the process.
 """
 
 from __future__ import annotations
@@ -121,8 +121,10 @@ def _values_arg(path: str) -> list:
 
 def _parse_range(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition(":")
-    lo = int(lo)
-    hi = int(hi) if hi else lo
+    try:
+        lo, hi = int(lo), int(hi or lo)  # a second ':' stays in hi and fails here
+    except ValueError:
+        raise ValueError(f"bad range {spec!r}") from None
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range {spec!r}")
     return lo, hi
@@ -413,11 +415,15 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    # main passes the command it runs: one subparser, not all 13 (ms per process).
+    # Messages match, as _Parser.error prints no usage line listing the commands.
     # --help shows the docstring without its last paragraph, which is about this module
     parser = _Parser(prog="binmat", description=__doc__.rsplit("\n\n", 1)[0])
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_, options, _) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
         sub = subs.add_parser(name, help=help_)
         for opt in options + _COMMON:
             sub.add_argument(f"--{opt}", **_OPTIONS[opt])
@@ -426,8 +432,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         handler, _, _, columns = _COMMANDS[args.command]
         artifact = {
             "schema": SCHEMA,

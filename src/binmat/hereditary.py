@@ -332,36 +332,23 @@ def count_members(
     return members, members - _sweep(free, forbid + require)
 
 
-@lru_cache(maxsize=None)
-def _table_orbits(m: int) -> tuple[tuple[int, int], ...]:
-    """One (least table, orbit size) pair per GL(m, 2)-orbit of the
-    2^(2^m - 1) tables on F_2^m, for m <= 4.
-
-    A numpy union-find: each table's uint16 label drops to the least label
-    one transvection away (each is an involution, so the edges are
-    symmetric), then jumps to its label's label, until a round changes
-    nothing.  A label never rises above its table and stays in its orbit, so
-    at the fixed point every table is labeled with its orbit's least table.
-    """
-    npts = (1 << m) - 1
-    tables = np.arange(1 << npts, dtype=np.uint16)
-    moved = []  # moved[i][t]: table t moved by the i-th transvection
-    for perm in _transvection_perms(m):
-        img = np.zeros_like(tables)
-        for p in range(1, npts + 1):
-            img |= (tables >> (p - 1) & 1) << (perm[p] - 1)
-        moved.append(img)
-    label = tables.copy()
-    while True:
-        before = label.copy()
-        for img in moved:
-            np.minimum(label, label[img], out=label)
-        label = label[label]
-        if np.array_equal(label, before):
-            break
-    sizes = np.bincount(label)
-    reps = np.flatnonzero(sizes)
-    return tuple(zip(reps.tolist(), sizes[reps].tolist()))
+# _TABLE_ORBITS[m]: one (least table, orbit size) pair per GL(m, 2)-orbit of
+# the 2^(2^m - 1) tables on F_2^m, in table order, for m < CENSUS_MAX_DIM.
+# Fixed data: the tests re-derive it by a union-find over the transvections
+# and check each orbit against the isomorphism census.
+_TABLE_ORBITS = (
+    ((0, 1),),
+    ((0, 1), (1, 1)),
+    ((0, 1), (1, 3), (3, 3), (7, 1)),
+    ((0, 1), (1, 7), (3, 21), (7, 7), (11, 28), (15, 28), (30, 7), (31, 21), (63, 7), (127, 1)),
+    ((0, 1), (1, 15), (3, 105), (7, 35), (11, 420), (15, 420), (30, 105), (31, 315), (63, 105),
+     (127, 15), (139, 840), (143, 1680), (158, 840), (159, 2520), (191, 840), (255, 120),
+     (414, 420), (415, 420), (427, 280), (428, 168), (429, 1680), (431, 2520), (446, 2520),
+     (447, 2520), (510, 420), (511, 420), (955, 2520), (959, 1680), (1016, 120), (1017, 840),
+     (1019, 2520), (1023, 840), (2040, 15), (2041, 105), (2043, 315), (2047, 105), (3007, 168),
+     (3038, 280), (3039, 1680), (3071, 840), (4091, 420), (4095, 420), (8190, 35), (8191, 105),
+     (16383, 15), (32767, 1)),
+)
 
 
 def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) -> tuple[int, int]:
@@ -374,14 +361,14 @@ def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) ->
     which sweeps C only.  The constraint sets are GL(n, 2)-invariant, so
     invariant under GL(n - 1, 2) acting on H with e_n -> e_n, which moves C
     onto itself: T and gT have equally many member extensions.  So one
-    pinned count per GL(n - 1, 2)-orbit (_table_orbits), times the orbit
+    pinned count per GL(n - 1, 2)-orbit (_TABLE_ORBITS), times the orbit
     size, counts them all.
     """
     _check_dim(n)
     if n == 0:
         return count_members(0, forbid, require)
     total = hold = 0
-    for t, size in _table_orbits(n - 1):
+    for t, size in _TABLE_ORBITS[n - 1]:
         members, hits = count_members(n, forbid, require, (1 << (n - 1)) - 1, t)
         total += size * members
         hold += size * hits

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import random
@@ -342,6 +343,14 @@ def test_exit_code_bad_builtin(capsys):
     assert code == 1 and out == "" and "error" in err
 
 
+@pytest.mark.parametrize("spec", ["1:2:3", "a:b"])
+def test_exit_code_malformed_range(capsys, spec):
+    code, out, err = run(capsys, "census", "--forbid", "O2", "--n", spec)
+    assert code == 1 and out == ""
+    assert f"binmat: error: bad range '{spec}'" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_dimension_past_table_cap(capsys):
     code, out, err = run(capsys, "instance", "--pattern", "I1", "--target", "ones:40")
     assert code == 1 and out == ""
@@ -438,6 +447,29 @@ def test_cached_parser_matches_fresh_parser(capsys):
     assert cached == fresh
     assert [code for code, _ in cached] == [0, 0, 0]
     assert json.loads(cached[1][1])["config"]["forbid"] == []
+
+
+def _full_subparser(command):
+    subs = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices[command]
+
+
+@pytest.mark.parametrize("command", list(CONFIG_KEYS))
+def test_one_command_parser_matches_full_parser(capsys, command):
+    keys = CONFIG_KEYS[command]
+    argv = [command] + [a for key in keys if key in REQUIRED for a in (f"--{key}", REQUIRED[key])]
+    assert vars(_build_parser(command).parse_args(argv)) == vars(_build_parser().parse_args(argv))
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and out == _full_subparser(command).format_help()
+
+
+def test_full_parser_for_top_level_help_and_unknown_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert len(CONFIG_KEYS) == 13 and "{" + ",".join(CONFIG_KEYS) + "}" in out
+    code, out, err = run(capsys, "nope")
+    assert code == 1 and out == ""
+    assert "invalid choice" in err
 
 
 def _refuse_constant(name):

@@ -596,9 +596,47 @@ def test_transfer_matches_sweep(data, pats, n):
     assert hereditary._transfer(n, forbid, require) == (len(members), hold)
 
 
+def oracle_table_orbits(m: int) -> tuple[tuple[int, int], ...]:
+    """One (least table, orbit size) pair per GL(m, 2)-orbit of the
+    2^(2^m - 1) tables on F_2^m, for m <= 4.
+
+    A numpy union-find: each table's uint16 label drops to the least label
+    one transvection away (each is an involution, so the edges are
+    symmetric), then jumps to its label's label, until a round changes
+    nothing.  A label never rises above its table and stays in its orbit, so
+    at the fixed point every table is labeled with its orbit's least table.
+    """
+    npts = (1 << m) - 1
+    tables = np.arange(1 << npts, dtype=np.uint16)
+    moved = []  # moved[i][t]: table t moved by the i-th transvection
+    for perm in _transvection_perms(m):
+        img = np.zeros_like(tables)
+        for p in range(1, npts + 1):
+            img |= (tables >> (p - 1) & 1) << (perm[p] - 1)
+        moved.append(img)
+    label = tables.copy()
+    while True:
+        before = label.copy()
+        for img in moved:
+            np.minimum(label, label[img], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    sizes = np.bincount(label)
+    reps = np.flatnonzero(sizes)
+    return tuple(zip(reps.tolist(), sizes[reps].tolist()))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_table_orbits_match_oracle(m):
+    # one row per hyperplane dimension _transfer can reach past _check_dim
+    assert len(hereditary._TABLE_ORBITS) == hereditary.CENSUS_MAX_DIM
+    assert hereditary._TABLE_ORBITS[m] == oracle_table_orbits(m)
+
+
 @pytest.mark.parametrize("m", range(5))
 def test_table_orbits_certificates(m):
-    orbits = hereditary._table_orbits(m)
+    orbits = hereditary._TABLE_ORBITS[m]
     assert len(orbits) == isomorphism_class_census(forb(), m) == (1, 2, 4, 10, 46)[m]
     assert sum(size for _, size in orbits) == 1 << ((1 << m) - 1)
     order = count_linear_injections(m, m)
