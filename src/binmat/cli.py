@@ -130,6 +130,14 @@ def _parse_range(spec: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_dim(spec: str) -> int:
+    """The one dimension --n names for ramsey, pack and ext-count."""
+    try:
+        return int(spec)
+    except ValueError:
+        raise ValueError(f"bad dimension {spec!r}") from None
+
+
 # --- output ------------------------------------------------------------------------
 
 def _enc(x):
@@ -260,7 +268,7 @@ def _cmd_density(args):
 
 def _cmd_ramsey(args):
     kwargs = {} if args.budget is None else {"node_budget": args.budget}
-    res = ramsey_dimension(args.d, int(args.n), **kwargs)
+    res = ramsey_dimension(args.d, _parse_dim(args.n), **kwargs)
     verified = verify_ramsey_result(res, samples=1000, seed=args.seed)
     return {
         "flat_dim": res.flat_dim,
@@ -274,7 +282,7 @@ def _cmd_ramsey(args):
 
 
 def _cmd_pack(args):
-    n, du, dw = int(args.n), args.d, args.k
+    n, du, dw = _parse_dim(args.n), args.d, args.k
     if not 0 <= du <= dw <= n:
         raise ValueError("need 0 <= dim(U) <= dim(W) <= dim(V)")
     U = Subspace.from_vectors(n, [1 << i for i in range(du)])
@@ -302,7 +310,7 @@ def _cmd_core(args):
 def _cmd_ext_count(args):
     M = _matroid_arg(args.input)
     Np = _pattern_arg(args.pattern)
-    rep = count_free_extensions(M, int(args.n), Np)
+    rep = count_free_extensions(M, _parse_dim(args.n), Np)
     return {**dataclasses.asdict(rep), "count": str(rep.count), "total": str(rep.total),
             "bound_holds": rep.holds}
 

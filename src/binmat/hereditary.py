@@ -31,8 +31,13 @@ The unpinned counts (census, count_critical_at_most, the typical-structure
 fraction) do not sweep all 2^n - 1 points: their constraint sets are
 GL(n,2)-invariant, so they count by hyperplane transfer (_transfer).  F_2^n
 splits into the hyperplane H = F_2^(n-1) and its coset C; the tables on H
-fall into GL(n-1,2)-orbits (46 at n = 5), and each orbit costs one count
-with H pinned to a table of the orbit, weighted by the orbit size.  The
+fall into GL(n-1,2)-orbits (46 at n = 5), and the member extensions of one
+table per orbit, weighted by the orbit size, count them all.  The transfer
+is one grouped array pass: each constraint set is split once by its part on
+H, every group is tested against all orbit representatives in one
+comparison, each group's parts on C are marked once into coset bitmaps of
+2^(2^(n-1)) bits, and a representative's bitmap is the OR of the groups
+that hold on it, so its member extensions are one popcount.  The
 isomorphism-class census runs the sweep once per conjugacy class of
 GL(n,2), with one table bit per cycle, and its identity term by the
 transfer.
@@ -56,8 +61,6 @@ from .gf2 import (
     Subspace,
     _echelon_bases,
     _gl_conjugacy_classes,
-    _mask_points,
-    _points_mask,
     _transvection_perms,
     count_linear_injections,
     span_table,
@@ -171,7 +174,10 @@ def instance_constraints(N: Pattern, n: int) -> tuple:
 
     The injections with image a subspace S are B o g, for B the map onto S's
     echelon basis and g in GL(dim N, 2), so each of N's point sets under the
-    group (_pattern_orbit) is mapped once through each subspace's span table.
+    group (_pattern_orbit) is mapped once through each subspace's span table:
+    one integer product of the subspaces' point bits with the orbit's cell
+    incidences.  Past CENSUS_MAX_DIM the masks outgrow int64 and the arrays
+    hold Python ints.
     """
     d = N.dim
     if d > n:
@@ -179,12 +185,22 @@ def instance_constraints(N: Pattern, n: int) -> tuple:
     if d == 0:
         return ((0, 0),)
     orbit = _pattern_orbit(N)
-    seen = set()
-    for basis in _echelon_bases(n, d):
-        phi = span_table(basis)
-        for ones, zeros in orbit:
-            seen.add((_points_mask([phi[x] for x in ones]), _points_mask([phi[x] for x in zeros])))
-    return tuple(sorted(seen))
+    npts = (1 << n) - 1
+    dtype = np.int64 if n <= CENSUS_MAX_DIM else object
+    bases = np.array(list(_echelon_bases(n, d)), dtype=dtype)
+    spans = np.zeros((len(bases), 1 << d), dtype=dtype)
+    for i in range(d):  # span_table's doubling, one subspace per row
+        spans[:, 1 << i:2 << i] = spans[:, :1 << i] ^ bases[:, i:i + 1]
+    bits = (1 << spans) >> 1  # point p -> bit p - 1; x = 0 is no point
+    cells = np.zeros((2, 1 << d, len(orbit)), dtype=np.int64)
+    for j, (ones, zeros) in enumerate(orbit):
+        cells[0, ones, j] = 1
+        cells[1, zeros, j] = 1
+    oq, zq = bits @ cells
+    pairs = (oq << npts | zq).ravel()
+    pairs = pairs[np.argsort(pairs, kind="stable")]  # ascending in (oq, zq); the sort the transfer loads
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    return tuple(zip((pairs >> npts).tolist(), (pairs & ((1 << npts) - 1)).tolist()))
 
 
 def _merged_constraints(patterns: Sequence[Pattern], n: int) -> tuple:
@@ -215,10 +231,33 @@ def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
     return tuple(kept)
 
 
-@lru_cache(maxsize=None)  # at most 64 * 64 distinct arguments
-def _word_mask(oq: int, zq: int) -> np.uint64:
-    """Bit j set iff the table with low bits j satisfies (oq, zq) there."""
-    return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
+# _BIT_MASKS[b][s]: the tables j < 64 of a word that a constraint allows at
+# bit b of j, for s = 0 (b free), 1 (b one), 2 (b zero) and 3 (b both: none)
+_BIT_MASKS = np.array([[(1 << 64) - 1, m, m ^ ((1 << 64) - 1), 0] for m in (
+    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)], dtype=np.uint64)
+
+
+def _word_mask(oq, zq):
+    """Bit j set iff the table with low bits j satisfies (oq, zq) there, for
+    oq, zq < 64, elementwise on integer arrays: the AND over the low bits b
+    of _BIT_MASKS[b][s], s the state of b in (oq, zq), so 0 when oq & zq."""
+    b = np.arange(WORD_BITS)
+    state = (np.asarray(oq)[..., None] >> b & 1) | (np.asarray(zq)[..., None] >> b & 1) << 1
+    return np.bitwise_and.reduce(_BIT_MASKS[b, state], axis=-1)
+
+
+def _word_split(oq, zq, mid: int) -> tuple:
+    """Where constraints (oq, zq), int64 arrays, fall in a bitmap of tables,
+    table t at bit t % 64 of word t // 64, in blocks of 2^mid words: the
+    word mask of their low WORD_BITS bits, the bits of the word index within
+    a block that they need one and zero, and the block bits above them, one
+    and zero.  _sweep (through _plan) and the transfer both mark by it."""
+    low = (1 << WORD_BITS) - 1
+    block = (1 << mid) - 1
+    shift = WORD_BITS + mid
+    return (_word_mask(oq & low, zq & low), oq >> WORD_BITS & block, zq >> WORD_BITS & block,
+            oq >> shift, zq >> shift)
 
 
 def _plan(mid: int, high: int, constraints) -> list:
@@ -227,16 +266,15 @@ def _plan(mid: int, high: int, constraints) -> list:
     chunk bit is bit d - 1.  Each entry is the chunk bits the constraint
     needs (ones, zeros), the index of the words it touches in the (2,)*mid
     view of a buffer, and its word mask."""
-    low = (1 << WORD_BITS) - 1
-    shift = WORD_BITS + mid
-    axes = [1 << (shift - 1 - axis) for axis in range(mid)]
+    axes = [1 << (mid - 1 - axis) for axis in range(mid)]
     every = slice(None)
     plan = [[] for _ in range(high + 1)]
-    for oq, zq in constraints:
+    oq, zq = np.array(constraints, dtype=np.int64).reshape(-1, 2).T
+    wm, ones, zeros, oh, zh = _word_split(oq, zq, mid)
+    for m, o, z, oh, zh in zip(wm, ones.tolist(), zeros.tolist(), oh.tolist(), zh.tolist()):
         # the trailing ... makes indexing give a view, never a scalar, even when mid = 0
-        idx = (*[1 if oq & bit else 0 if zq & bit else every for bit in axes], ...)
-        oh, zh = oq >> shift, zq >> shift
-        plan[(oh | zh).bit_length()].append((oh, zh, idx, _word_mask(oq & low, zq & low)))
+        idx = (*[1 if o & bit else 0 if z & bit else every for bit in axes], ...)
+        plan[(oh | zh).bit_length()].append((oh, zh, idx, m))
     return plan
 
 
@@ -351,28 +389,75 @@ _TABLE_ORBITS = (
 )
 
 
+def _coset_members(n: int, reps: np.ndarray, constraints) -> np.ndarray:
+    """For each table t in reps on the hyperplane H, the low h = 2^(n-1) - 1
+    points, the number of tables c on its coset C, the high h + 1 points,
+    such that no constraint holds on t | c << h.
+
+    A constraint splits into its part on H, (oq & pin, zq & pin), which holds
+    on t or not, and its part on C, (oq >> h, zq >> h), which marks the
+    coset tables it holds on.  The constraints are sorted into groups by
+    their part on H, and every group is tested against every representative
+    in one comparison: holds[r, g].  A representative on which a group with
+    the empty part on C holds has no member extension.  Each group that
+    holds on another representative is marked once into a coset bitmap,
+    table c at bit c % 64 of word c // 64 (_word_split), and ORed into the
+    row of each representative it holds on; a representative's count is
+    2^(h+1) minus the popcount of its row.  A part marks its word mask in
+    the words whose index agrees with it, one array test for all the
+    group's parts: over 2^(h+1-6) words (1024 at n = 5) that is cheaper
+    than _sweep's strided OR per part.
+    """
+    h = (1 << (n - 1)) - 1
+    pin = (1 << h) - 1
+    mid = max(0, h + 1 - WORD_BITS)
+    oq, zq = np.array(constraints, dtype=np.int64).reshape(-1, 2).T
+    key = (oq & pin) << h | zq & pin
+    order = np.flatnonzero((oq & zq) == 0)  # a pair asking a point to be one and zero never holds
+    order = order[np.argsort(key[order], kind="stable")]
+    key, oq, zq = key[order], oq[order] >> h, zq[order] >> h
+    first = np.diff(key, prepend=-1) != 0
+    starts = np.flatnonzero(first).tolist() + [len(key)]
+    ho, hz = key[first] >> h, key[first] & pin
+    holds = (reps[:, None] & ho == ho) & (reps[:, None] & hz == 0)
+    # a group with the empty part on C leaves no member extension: not marked
+    dead = holds[:, np.cumsum(first)[(oq | zq) == 0] - 1].any(axis=1)
+    holds[dead] = False
+    masks, ones, zeros, _, _ = _word_split(oq, zq, mid)  # nothing above the words
+    masks &= np.uint64((1 << (1 << min(h + 1, WORD_BITS))) - 1)  # no table past 2^(h+1)
+    masks, ones, care = masks[:, None], ones[:, None], (ones | zeros)[:, None]
+    w = np.arange(1 << mid)
+    zero = np.uint64(0)
+    rows = np.zeros((len(reps), 1 << mid), dtype=np.uint64)
+    for g in np.flatnonzero(holds.any(axis=0)).tolist():
+        a, b = starts[g], starts[g + 1]
+        marked = np.where(w & care[a:b] == ones[a:b], masks[a:b], zero)
+        rows[holds[:, g]] |= np.bitwise_or.reduce(marked, axis=0)
+    return np.where(dead, 0, (1 << (h + 1)) - np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
+
+
 def _transfer(n: int, forbid: Sequence[tuple], require: Sequence[tuple] = ()) -> tuple[int, int]:
     """count_members(n, forbid, require) for GL(n, 2)-invariant constraint
     sets, by hyperplane transfer.
 
     F_2^n splits into the hyperplane H = F_2^(n-1), the low 2^(n-1) - 1
-    table bits, and its coset C, the high 2^(n-1) bits.  The members
-    extending a table T on H are one count_members with H pinned to T,
-    which sweeps C only.  The constraint sets are GL(n, 2)-invariant, so
-    invariant under GL(n - 1, 2) acting on H with e_n -> e_n, which moves C
-    onto itself: T and gT have equally many member extensions.  So one
-    pinned count per GL(n - 1, 2)-orbit (_TABLE_ORBITS), times the orbit
-    size, counts them all.
+    table bits, and its coset C, the high 2^(n-1) bits.  The constraint sets
+    are GL(n, 2)-invariant, so invariant under GL(n - 1, 2) acting on H with
+    e_n -> e_n, which moves C onto itself: a table T on H and every gT have
+    equally many member extensions to C.  So the extensions of one table per
+    GL(n - 1, 2)-orbit (_TABLE_ORBITS), times the orbit size, count them all,
+    and one grouped pass (_coset_members) counts them for every orbit at
+    once.  The members activating a require constraint are counted by
+    complement: the members minus a pass over forbid and require together.
     """
     _check_dim(n)
     if n == 0:
         return count_members(0, forbid, require)
-    total = hold = 0
-    for t, size in _TABLE_ORBITS[n - 1]:
-        members, hits = count_members(n, forbid, require, (1 << (n - 1)) - 1, t)
-        total += size * members
-        hold += size * hits
-    return total, hold
+    reps, sizes = np.array(_TABLE_ORBITS[n - 1], dtype=np.int64).T
+    total = int(sizes @ _coset_members(n, reps, forbid))
+    if not require or not total:
+        return total, 0
+    return total, total - int(sizes @ _coset_members(n, reps, (*forbid, *require)))
 
 
 # --- censuses ----------------------------------------------------------------
@@ -720,18 +805,21 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     """
     _check_dim(n)
     constraints = _merged_constraints(P.forbidden, n)
+    npts = (1 << n) - 1
+    # points[k, s, p - 1]: point p is in the ones (s = 0) or zeros (s = 1) of constraint k
+    masks = np.array(constraints, dtype=np.int64).reshape(-1, 2, 1)
+    points = (masks >> np.arange(npts) & 1).astype(np.uint8)
     total = 0
     for columns, size in _gl_conjugacy_classes(n):
         cycle, cycles = _cycle_numbers(span_table(columns))
-        if cycles == (1 << n) - 1:  # the identity: the labeled census
+        if cycles == npts:  # the identity: the labeled census
             total += size * _transfer(n, constraints)[0]
             continue
-
-        def on_cycles(mask: int) -> int:
-            return _points_mask([cycle[p] for p in _mask_points(mask)])
-
-        forbid = _substitute([(on_cycles(oq), on_cycles(zq)) for oq, zq in constraints], 0, 0)
-        total += size * _sweep(cycles, forbid)
+        onto = np.zeros((npts, cycles), dtype=np.uint8)  # point p -> its cycle
+        onto[np.arange(npts), np.array(cycle[1:]) - 1] = 1
+        # the cycles a mask meets, as the sum of their distinct bits
+        on_cycles = (points @ onto > 0) @ (1 << np.arange(cycles))
+        total += size * _sweep(cycles, _substitute(on_cycles.tolist(), 0, 0))
     order = count_linear_injections(n, n)
     assert total % order == 0, f"Burnside sum {total} is not a multiple of |GL({n},2)| = {order}"
     return total // order

@@ -234,7 +234,7 @@ def test_o2_check_row(capsys):
 def test_o2_check_sweeps_once_per_row(capsys):
     argv = ("o2-check", "--forbid", "ones3", "--n", "3:4", "--k", "2")
     _, want, _ = run(capsys, *argv)
-    # one hyperplane-transfer count per row, which sweeps the coset per orbit
+    # one hyperplane-transfer count per row, one grouped pass over the orbits
     with mock.patch.object(hereditary, "_transfer", wraps=hereditary._transfer) as spy:
         code, out, _ = run(capsys, *argv)
     assert code == 0 and spy.call_count == 2
@@ -349,6 +349,16 @@ def test_exit_code_malformed_range(capsys, spec):
     assert code == 1 and out == ""
     assert f"binmat: error: bad range '{spec}'" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("ramsey", "--d", "2"), ("pack", "--d", "0", "--k", "1"),
+                                  ("ext-count", "--input", "ones:3", "--pattern", "O2")],
+                         ids=lambda argv: argv[0])
+def test_exit_code_malformed_dimension(capsys, argv):
+    code, out, err = run(capsys, *argv, "--n", "x")
+    assert code == 1 and out == ""
+    assert "binmat: error: bad dimension 'x'" in err
+    assert "Traceback" not in err and "invalid literal" not in err
 
 
 def test_exit_code_dimension_past_table_cap(capsys):

@@ -588,12 +588,71 @@ def flat_lists(n):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), pats=st.lists(patterns(3), max_size=2), n=st.integers(0, 4))
 def test_transfer_matches_sweep(data, pats, n):
-    # the pinned count per orbit, weighted by the orbit size, against brute
-    # force over every table
+    # the grouped pass over the orbit representatives, weighted by the orbit
+    # sizes, against brute force over every table
     forbid = hereditary._merged_constraints(pats, n)
     require = data.draw(flat_lists(n))
     members, hold = oracle_members(n, forbid, require)
     assert hereditary._transfer(n, forbid, require) == (len(members), hold)
+
+
+def oracle_transfer(n, forbid, require=()):
+    """_transfer as first written: one count_members per GL(n - 1, 2)-orbit
+    of hyperplane tables, with the hyperplane pinned to the orbit's least
+    table, weighted by the orbit size."""
+    if n == 0:
+        return count_members(0, forbid, require)
+    total = hold = 0
+    for t, size in hereditary._TABLE_ORBITS[n - 1]:
+        members, hits = count_members(n, forbid, require, (1 << (n - 1)) - 1, t)
+        total += size * members
+        hold += size * hits
+    return total, hold
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), N=patterns(3), n=st.integers(0, 5))
+def test_transfer_matches_per_orbit_counts(data, N, n):
+    # up to n = 5, where brute force over all 2^31 tables is out of reach
+    forbid = instance_constraints(N, n)
+    require = data.draw(flat_lists(n))
+    assert hereditary._transfer(n, forbid, require) == oracle_transfer(n, forbid, require)
+
+
+@pytest.mark.parametrize("name", ["O2", "I1", "ones:3", "zeros:3", "BB:1:2", "BB:2:3", "ones:4"])
+def test_transfer_matches_per_orbit_counts_n5(name):
+    forbid = instance_constraints(bp(name), 5)
+    for require in ((), flat_requires(5, 3, 0), flat_requires(5, 2, 1)):
+        assert hereditary._transfer(5, forbid, require) == oracle_transfer(5, forbid, require)
+
+
+def test_transfer_memory_holds_one_bitmap_per_group_at_a_time():
+    # the (46 x 1024)-word rows, 368 KiB at n = 5, and one group's bitmap at
+    # a time: no bitmap per group or per part held all at once
+    forbid = instance_constraints(ONES3, 5)
+    for require in ((), flat_requires(5, 3, 0)):
+        want = hereditary._transfer(5, forbid, require)
+        tracemalloc.start()
+        try:
+            got = hereditary._transfer(5, forbid, require)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 << 20
+
+
+def oracle_word_mask(oq: int, zq: int) -> np.uint64:
+    """_word_mask as first written: one term per table of the word."""
+    return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
+
+
+def test_word_mask_matches_oracle():
+    oq, zq = np.divmod(np.arange(64 * 64), 64)
+    want = [oracle_word_mask(o, z) for o, z in zip(oq.tolist(), zq.tolist())]
+    assert hereditary._word_mask(oq, zq).tolist() == [int(w) for w in want]
+    assert all(hereditary._word_mask(o, z) == w for o, z, w in zip(oq.tolist(), zq.tolist(), want))
+    assert want[3 * 64 + 1] == 0  # oq & zq: bit 0 both one and zero
 
 
 def oracle_table_orbits(m: int) -> tuple[tuple[int, int], ...]:
@@ -652,7 +711,7 @@ def injection_walk_constraints(N: Pattern, n: int) -> tuple:
     of N into dimension n."""
     if N.dim > n:
         return ()
-    ones, zeros = hereditary._mask_points(N.ones), hereditary._mask_points(N.zeros)
+    ones, zeros = _mask_points(N.ones), _mask_points(N.zeros)
     seen = set()
     for images in LinearInjections(N.dim, n).image_tuples():
         phi = span_table(images)
@@ -666,10 +725,18 @@ def test_instance_constraints_match_injection_walk(N, n):
     assert instance_constraints(N, n) == injection_walk_constraints(N, n)
 
 
+@pytest.mark.parametrize("name", ["O2", "I1", "BB:1:2"])
+def test_instance_constraints_past_int64_masks(name):
+    # 63 points at n = 6: the masks are built as Python ints
+    got = instance_constraints(bp(name), 6)
+    assert got == injection_walk_constraints(bp(name), 6)
+    assert max(oq | zq for oq, zq in got) >> 62
+
+
 def walk_pattern_orbit(N: Pattern) -> set:
     """_pattern_orbit as first written: N's point sets moved by each of the
     maps of GL(dim N, 2), one walk over the group."""
-    ones, zeros = hereditary._mask_points(N.ones), hereditary._mask_points(N.zeros)
+    ones, zeros = _mask_points(N.ones), _mask_points(N.zeros)
     seen = set()
     for images in _image_search(N.dim, N.dim):
         g = span_table(images)
@@ -719,7 +786,7 @@ def test_pattern_orbit_cap_refuses_an_asymmetric_dim5_pattern():
 
 def moved(constraints, perm) -> set:
     def move(mask):
-        return sum(1 << (perm[p] - 1) for p in hereditary._mask_points(mask))
+        return sum(1 << (perm[p] - 1) for p in _mask_points(mask))
 
     return {(move(oq), move(zq)) for oq, zq in constraints}
 
