@@ -471,12 +471,91 @@ def _same_part_words(sigs: np.ndarray) -> np.ndarray:
     return words
 
 
+_MIX_KEY = np.uint64(0x9E3779B97F4A7C15)
+_MIX_MUL = np.uint64(0xBF58476D1CE4E5B9)
+
+
+def _fingerprints(words: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """A 64-bit fingerprint of each row of same-part words: the wrapping
+    sum over the columns c of mix(word_c ^ key_c), with a distinct key per
+    column and mix a xor-shift-multiply step.  Equal rows get equal
+    fingerprints.  The mix is non-linear: a weighted sum of the raw words
+    lets rows that differ in high bits of two words collide.  Overwrites
+    words and spare, an array of the same shape."""
+    words ^= np.arange(1, 2 * words.shape[1], 2, dtype=np.uint64) * _MIX_KEY
+    words ^= np.right_shift(words, np.uint64(31), out=spare)
+    words *= _MIX_MUL
+    words ^= np.right_shift(words, np.uint64(29), out=spare)
+    return np.add.reduce(words, axis=1)
+
+
+def _first_candidates(words: np.ndarray, row_words: np.ndarray, row: np.ndarray,
+                      j: np.ndarray, step: int) -> np.ndarray:
+    """Ascending positions of the first candidate of each distinct word
+    vector, where candidate i has the words words[row[i]] & row_words[j[i]].
+
+    Each candidate gets one 64-bit key: its fingerprint in the high bits
+    and its position in the low ones, so one plain sort puts each run of
+    equal fingerprints in ascending position, headed by the first
+    occurrence of all its members.  A single word (at most 28 bits, as
+    size <= 8) is its own fingerprint, so equal keys mean equal words.
+    Longer rows take the high bits of their _fingerprints; equal words give
+    equal fingerprints, so each word vector lies in one run, but a run may
+    hold more than one.  So the words of every later member are compared
+    exactly with those of its run's head, and the members that differ (none
+    unless fingerprints collide) are regrouped by their exact words, each
+    group under its least member.  Words are built, fingerprinted and
+    compared in blocks of step candidates, in three reused buffers.
+    """
+    n, width = len(row), words.shape[1]
+    shift = np.uint64(max(1, (n - 1).bit_length()))  # position bits, <= 20 under the multiset cap
+    buf = np.empty((3, min(step, n), width), dtype=np.uint64)
+
+    def block_words(at, out):  # the words of the candidates at these positions, into out
+        own = row[at]
+        out, spare = out[:len(own)], buf[2, :len(own)]
+        # the indices are in range; mode="raise" would buffer out
+        np.take(words, own, axis=0, out=out, mode="clip")
+        np.take(row_words, j[at], axis=0, out=spare, mode="clip")
+        out &= spare
+        return out
+
+    low = (np.uint64(1) << shift) - np.uint64(1)
+    keys = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, step):
+        block = block_words(slice(lo, lo + step), buf[0])
+        if width == 1:
+            key = block[:, 0] << shift
+        else:
+            key = _fingerprints(block, buf[1, :len(block)]) & ~low
+        keys[lo:lo + len(block)] = key | np.arange(lo, lo + len(block), dtype=np.uint64)
+    keys.view(np.int64).sort()  # equal high bits stay together, in position order
+    at = (keys & low).view(np.int64)
+    keys >>= shift
+    head = np.concatenate(([True], keys[1:] != keys[:-1]))
+    if width == 1:
+        return np.sort(at[head])
+    later, first = at[~head], at[head][np.cumsum(head) - 1][~head]  # and their run's head
+    differ = [later[:0]]
+    for lo in range(0, len(later), step):
+        block = later[lo:lo + step]
+        same = block_words(block, buf[0]) == block_words(first[lo:lo + step], buf[1])
+        differ.append(block[~same.all(axis=1)])
+    differ = np.sort(np.concatenate(differ))
+    split = [at[head]]
+    if len(differ):
+        exact = words[row[differ]] & row_words[j[differ]]
+        split.append(differ[np.unique(_row_keys(exact), return_index=True)[1]])
+    return np.sort(np.concatenate(split))
+
+
 def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarray]:
     """The first-seen labels of each distinct partition induced by the
     C-multisets of rows of sigs, and the first such multiset (its owner) as
     a row of ascending indices, both in combinations with replacement order.
     The rows of sigs must be the first-seen labels of distinct partitions,
-    as _factor_candidates returns them.
+    as _factor_candidates returns them.  Labels come in the smallest
+    unsigned type that holds size - 1.
 
     Level 1 is the identity: owner (i,) for row i.  Level c extends each
     owner o of level c-1 by every j >= o[-1], takes the candidate's
@@ -501,50 +580,46 @@ def _distinct_partitions(sigs: np.ndarray, C: int) -> tuple[np.ndarray, np.ndarr
 
     A level's candidates are distinct C-multisets of the rows, so there are
     no more of them than the multiset cap of _factor_candidates allows.
-    They are deduplicated in blocks of at most GOWERS_BATCH_CELLS cells,
-    counting a row's words or its labels, whichever are more, and each
-    block's first rows get their labels from their owner's by one
-    _partition_signatures call.  Those labels, in the smallest unsigned
-    type that holds size - 1, carry the partitions seen so far across the
-    blocks in order; they take one byte per point up to size 256, where the
-    words take about size / 16.  The words of a level's owners are kept
-    only when another level follows.
+    _first_candidates finds the first candidate of each distinct word
+    vector for the whole level at once: one sort of fingerprints, then an
+    exact comparison of words that splits any run of colliding
+    fingerprints.  Only the owners kept get labels, from their owner's by
+    _partition_signatures.  Words go in blocks of at most GOWERS_BATCH_CELLS
+    cells, counting a row's words or its labels, whichever are more, and
+    labels in blocks of at most GOWERS_BATCH_CELLS labels.  The words of a
+    level's owners are kept only when another level follows.
     """
     R, size = sigs.shape
+    key_type = np.min_scalar_type(size - 1)  # labels are < size
     if C == 0:
-        return np.zeros((1, size), dtype=np.int64), np.zeros((1, 0), dtype=np.int32)
+        return np.zeros((1, size), dtype=key_type), np.zeros((1, 0), dtype=np.int32)
     owners = np.arange(R, dtype=np.int32)[:, None]
     if C == 1 or R == 1:  # repeating a row does not refine its partition
-        return sigs, np.repeat(owners, C, axis=1)
+        return sigs.astype(key_type), np.repeat(owners, C, axis=1)
     row_words = _same_part_words(sigs)
-    words, labels = row_words, sigs
+    words, labels = row_words, sigs.astype(key_type)
     step = max(1, GOWERS_BATCH_CELLS // max(size, words.shape[1]))
-    key_type = np.min_scalar_type(size - 1)  # labels are < size
+    label_step = max(1, GOWERS_BATCH_CELLS // size)
     for level in range(2, C + 1):
         last = owners[:, -1]
         ext = R - last  # candidates o + (j,) for j = o[-1], ..., R - 1
         row = np.repeat(np.arange(len(last), dtype=np.int32), ext)
         j = np.arange(len(row), dtype=np.int32)
         j += np.repeat((last - np.cumsum(ext) + ext).astype(np.int32), ext)
-        seen: dict[bytes, int] = {}
-        for lo in range(0, len(row), step):
-            own, js = row[lo:lo + step], j[lo:lo + step]
-            block = words[own]
-            block &= row_words[js]
-            keys = block[:, 0] if block.shape[1] == 1 else _row_keys(block)
-            first = np.sort(np.unique(keys, return_index=True)[1])
-            new = _partition_signatures(labels[own[first]] * size + sigs[js[first]])
-            for key, i in zip(_row_keys(new.astype(key_type)).tolist(), (first + lo).tolist()):
-                seen.setdefault(key, i)
-        kept = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
-        labels = np.frombuffer(b"".join(seen), dtype=key_type).reshape(-1, size).astype(np.int64)
+
+        kept = _first_candidates(words, row_words, row, j, step)
+        own, js = row[kept], j[kept]
+        new = np.empty((len(kept), size), dtype=key_type)
+        for lo in range(0, len(kept), label_step):
+            at = slice(lo, lo + label_step)
+            new[at] = _partition_signatures(labels[own[at]].astype(np.int64) * size + sigs[js[at]])
+        labels = new
         saturated = len(kept) == len(owners) and not sigs[0].any()
-        own = row[kept]
-        owners = np.column_stack([owners[own], j[kept]])
+        owners = np.column_stack([owners[own], js])
         if saturated:
             return labels, np.pad(owners, ((0, 0), (C - level, 0)))
         if level < C:
-            words = words[own] & row_words[owners[:, -1]]
+            words = words[own] & row_words[js]
     return labels, owners
 
 
@@ -749,36 +824,123 @@ def is_structured(M: Matroid, f: RealFunction) -> bool:
 
 # --- decomposition probe ------------------------------------------------------------
 
+def _as_float(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # beyond 2^1024: name it by its leading digits
+        digits = str(abs(int(v)))
+        sign = "-" if v < 0 else ""
+        raise ValueError(f"value {sign}{digits[0]}.{digits[1:4]}e{len(digits) - 1} "
+                         "is too large for a float") from None
+
+
+def _residuals(g: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """g - E[g|B] for the partition B of each row of part labels, x-major:
+    column r is the residual of row r.  np.bincount adds each part's values
+    in ascending x, as conditional_expectation does, so every entry has the
+    bits of that per-part loop."""
+    rows, size = labels.shape
+    bins = np.ascontiguousarray(labels.T) + np.arange(0, rows * size, size)
+    sums = np.bincount(bins.ravel(), np.repeat(g, rows), rows * size)
+    counts = np.bincount(bins.ravel(), minlength=rows * size)
+    return g[:, None] - sums[bins] / counts[bins]
+
+
+def _walsh_power(at: np.ndarray, k: int) -> np.ndarray:
+    """A float64 estimate of _gowers_power(at.T, k), for the columns of the
+    x-major at: the k-2 derivative products f(x) f(x + h) of
+    _gowers_power, then ||D||_{U2}^4 = sum over xi of D^(xi)^4 for each
+    product D by a Walsh-Hadamard transform over x, averaged over the h."""
+    size, cols = at.shape
+    if k == 1:
+        m = np.add.reduce(at, axis=0) / size
+        return m * m
+    xs = np.arange(size)
+    a = at[:, None]  # (x, h-tuple, column)
+    for _ in range(k - 2):
+        b = np.take(a, xs ^ xs[:, None], axis=0)
+        b *= a[:, None]
+        a = b.reshape(size, -1, cols)
+    if k == 2:
+        a = a.copy()
+    for i in range(size.bit_length() - 1):  # butterflies over bit i of x, in place
+        lo, hi = a.reshape(size >> i + 1, 2, -1).transpose(1, 0, 2)
+        lo += hi
+        hi *= -2
+        hi += lo
+    a = a.reshape(-1, cols)
+    a /= size
+    a *= a
+    a *= a
+    return np.add.reduce(a, axis=0) / (len(a) // size)
+
+
+def _near_best(score: np.ndarray, top: float, k: int, size: int) -> np.ndarray:
+    """Ascending indices of the rows whose _walsh_power score is not finite
+    or within the margin of best_factor_search of the least finite score;
+    top is the largest |g - E[g|B]| of all rows (nan makes every row near)."""
+    with np.errstate(all="ignore"):
+        c = np.ldexp(1.0, k + 2) + 8.0 * k * float(size) ** k
+        err = c * np.power(top, np.ldexp(1.0, k)) * 2.0 ** -53 + c * 2.0 ** -1074
+        finite = np.isfinite(score)
+        low = score[finite].min(initial=np.inf)
+        margin = 4 * err + np.ldexp(1.0, k - 49) * (max(low, 0.0) + 2 * err)
+        return np.flatnonzero(~finite | ~(score > low + margin))
+
+
 def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, float]:
     """The complexity-<=C degree-<=d factor minimizing the U_{d+1} norm of
     g - E[g|B], by exhaustive sweep over distinct partitions.
 
     Ties resolve to the first partition in enumeration order, so results
     are deterministic; residuals are exhaustive-mode Gowers norms.
+
+    Every partition gets a fast score by _walsh_power, and only the rows
+    that _near_best picks go through _gowers_power, whose values alone are
+    compared, in index order, and returned.  With k = d + 1 both kernels
+    compute V = ||g - E[g|B]||_{U_k}^{2^k} >= 0 from products of 2^k
+    residuals, each at most A = max |g - E[g|B]| over all rows in absolute
+    value.  Counting every rounding of the products, transforms and sums,
+    with room to spare, puts each value within e = c (2^-53 A^(2^k) +
+    2^-1074) of V, where c = 2^(k+2) + 8k 2^(nk) and the second term covers
+    underflow, unless c A^(2^k) overflows.  Let m be the least finite score,
+    s_i the score of row i and P_i its kernel value.  A row left out has s_i
+    > m + 4e + r (max(m, 0) + 2e), with r = 2^(k+4-53).  The row j of least
+    score is in, and P_j <= m + 2e, so P_i >= s_i - 2e > P_j + r max(P_j,
+    0); as m >= -e, also P_i > e > 0.  If P_j <= 0, row j's residual is 0
+    and row i's is positive.  Otherwise P_i > (1 + r) P_j, and the 2^k-th
+    root keeps a ratio above 1 + r 2^(-k-1) = 1 + 2^-50, which the two
+    roundings of the roots (under an ulp each) cannot close.  Either way row
+    i's residual exceeds row j's, which is no less than the best, so row i
+    can neither win nor tie.  When c A^(2^k) overflows, e is infinite and
+    every row is checked, as is every row whose score is not finite.
     """
     size = len(g)
     n = _table_dim(size)
     if d < 0 or C < 0:  # before the budget check: U_(d+1) recurses down to U_1
         raise ValueError("degree and complexity must be nonnegative")
-    garr = np.array([float(v) for v in g])
+    garr = np.array([_as_float(v) for v in g])
     _check_gowers_budget(n, d + 1, " (residual Gowers norms)")
     forms, sigs = _factor_candidates(n, d, C)
     partitions, owners = _distinct_partitions(sigs, C)
+    k = d + 1
+    score = np.empty(len(partitions))
+    top = np.float64(0.0)  # the largest |g - E[g|B]|, nan if any is nan
+    step = max(1, GOWERS_BATCH_CELLS // size ** max(1, k - 1))
+    with np.errstate(all="ignore"):  # a non-finite score only sends its row to the kernel
+        for lo in range(0, len(partitions), step):
+            block = _residuals(garr, partitions[lo:lo + step])
+            top = np.maximum(top, np.abs(block).max())
+            score[lo:lo + step] = _walsh_power(block, k)
     best_combo: Sequence[int] = ()
     best_res = math.inf
+    near = _near_best(score, top, k, size)
     step = max(1, GOWERS_BATCH_CELLS // size)
-    for lo in range(0, len(partitions), step):
-        labels = partitions[lo:lo + step]
-        # g - E[g|B]: part sums run over ascending x, as in conditional_expectation
-        rows = np.arange(len(labels))
-        sums, counts = np.zeros(labels.shape), np.zeros(labels.shape)
-        for x in range(size):
-            sums[rows, labels[:, x]] += garr[x]
-            counts[rows, labels[:, x]] += 1
-        proj = np.take_along_axis(sums, labels, axis=1) / np.take_along_axis(counts, labels, axis=1)
-        powers = _gowers_power(garr - proj, d + 1).tolist()
-        for i, val in enumerate(powers, lo):
-            resid = max(val, 0.0) ** (1.0 / (1 << (d + 1)))
+    for lo in range(0, len(near), step):
+        rows = near[lo:lo + step]
+        powers = _gowers_power(np.ascontiguousarray(_residuals(garr, partitions[rows]).T), k)
+        for i, val in zip(rows.tolist(), powers.tolist()):
+            resid = max(val, 0.0) ** (1.0 / (1 << k))
             if resid < best_res:
                 best_res, best_combo = resid, owners[i]
     polys = _normal_forms(n, d, (int(forms[i]) for i in best_combo))

@@ -273,6 +273,22 @@ def test_decomp_probe_negative_degree(capsys, tmp_path):
     assert "binmat: error:" in err and "Traceback" not in err
 
 
+def test_decomp_probe_refuses_values_beyond_float(capsys, tmp_path):
+    path = tmp_path / "g.vals"
+    path.write_text("1e400 0\n")
+    code, out, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "1")
+    assert code == 1 and out == ""
+    assert "binmat: error: value 1.000e400 is too large for a float" in err
+    assert "Traceback" not in err
+
+
+def test_decomp_probe_residual_bits(capsys, tmp_path):
+    path = tmp_path / "g.vals"
+    path.write_text("0/8 8/8 1/8 7/8 4/8 2/8 4/8 6/8\n")
+    art = run_json(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "2")
+    assert art["result"]["residual"] == 0.10211187115364857
+
+
 def test_structured(capsys, tmp_path):
     path = tmp_path / "f.vals"
     path.write_text("1/3 1/3 1/3 1 1 0 0\n")

@@ -559,6 +559,14 @@ PROBE_VALUES = [
     st.integers(-8, 8).map(lambda k: Fraction(k, 8)),  # dyadic fractions
     st.sampled_from([0.0, 0.5, 1.0]),  # many ties between partitions
     st.floats(-1, 1),
+    # products of 2^(d+1) values overflow to inf, and inf - inf gives nan
+    st.sampled_from([1e39, -1e39, 1e200, -1e200, 0.0, 1.0]),
+    # products underflow to subnormals and zero
+    st.sampled_from([1e-300, -1e-300, 5e-324, 0.0, 1e-150]),
+    st.just(0.3),  # constant g: every partition ties at residual 0 or nearly so
+    # inexact values: residual norms that are equal in exact arithmetic
+    # differ in their last bits, often in another order in the fast score
+    st.sampled_from([0.1, 0.3, 1 / 3, 2 / 3, 0.7]),
 ]
 
 
@@ -627,6 +635,71 @@ def test_gowers_power_batched_matches_recursion(d):
             assert gowers_norm(f, d).hex() == oracle.hex()
 
 
+def _assert_matches_oracle(g, d, C):
+    factor, residual = best_factor_search(g, d, C)
+    part_ids, polys, oracle_res = _oracle_best_factor(g, d, C)
+    assert factor.part_ids == part_ids
+    assert [polynomial_to_text(P) for P in factor.polys] == [polynomial_to_text(P) for P in polys]
+    assert residual.hex() == oracle_res.hex()
+    return factor, residual
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_best_factor_overflow_keeps_its_output():
+    # every residual power overflows to inf or nan, so no factor wins and
+    # the empty one is returned with residual inf
+    factor, residual = _assert_matches_oracle([1e200, -1e200, 3, 1, 0, 0, 0, 1e100], 1, 2)
+    assert residual == math.inf and factor.n_parts == 1 and factor.polys == ()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("values", [
+    [1e39, -1e39, 1e39, 1e39, -1e39, 1e39, 1e39, -1e39],
+    [1e200, 1e39, -1e200, 0.0, 1e39, 1.0, -1e39, 1e200],
+    [1e-300, 5e-324, 0.0, 1e-300, 5e-324, 1e-300, 0.0, 0.0],
+    [5e-324, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5e-324],
+    [1e-300, -1e-300, 1e-300, -1e-300, 1e-150, -1e-150, 1e-300, 1e-300],
+])
+@pytest.mark.parametrize("d,C", [(0, 2), (1, 1), (1, 3), (2, 1)])
+def test_best_factor_extremes_match_oracle(values, d, C):
+    _assert_matches_oracle(values, d, C)
+
+
+@pytest.mark.parametrize("g,d,C", [
+    # the fast scores order the last bits of these near-ties differently
+    # from the kernel, so the winner is not the row of least score
+    ([0.3, 0.1, 0.3, 0.3, 0.1, 0.3, 0.3, 0.3, 0.3, 0.3, 0.1, 0.3, 0.3, 0.1, 0.1, 0.1], 1, 1),
+    ([1 / 3, 2 / 3, 1 / 3, 0.1, 0.1, 0.1, 0.1, 1 / 3], 1, 1),
+    ([0.4, 0.1, 0.1, 0.7, 0.1, 0.2, 0.4, 0.4], 1, 2),
+])
+def test_best_factor_near_ties_match_oracle(g, d, C):
+    _assert_matches_oracle(g, d, C)
+
+
+@pytest.mark.parametrize("n,d,C", [(2, 1, 2), (3, 1, 3), (3, 2, 1), (4, 1, 2)])
+@pytest.mark.parametrize("levels", [(0.3,), (0.1, 0.7), (1 / 3, 0.2, 0.9)])
+def test_best_factor_ties_on_level_sets(n, d, C, levels):
+    # g constant on the parts of a factor: every partition refining it ties
+    # at residual 0 up to the rounding of the part means
+    rng = random.Random(repr((n, d, C, levels)))
+    polys = rng.sample(enumerate_normal_form_polynomials(n, d), min(C, 2))
+    part_ids = factor_partition(polys, n=n).part_ids
+    g = [levels[p % len(levels)] for p in part_ids]
+    _assert_matches_oracle(g, d, C)
+
+
+@pytest.mark.parametrize("k,n", [(1, 0), (1, 3), (2, 1), (2, 4), (3, 3), (3, 4), (4, 2)])
+def test_walsh_power_is_close_to_the_kernel(k, n):
+    # the estimate and the certified kernel agree far inside the margin
+    rng = np.random.default_rng(k * 10 + n)
+    for scale in (1.0, 1e-3, 1e3):
+        a = scale * rng.uniform(-1, 1, size=(9, 1 << n))
+        exact = _gowers_power(a, k)
+        est = fourier._walsh_power(np.ascontiguousarray(a.T), k)
+        top = np.abs(a).max() ** (1 << k)
+        assert np.abs(est - exact).max() <= 1e-12 * top
+
+
 def test_count_factors_frozen():
     assert count_factors(3, 2, 2).count == 1304
     assert count_factors(3, 2, 1).count == 267
@@ -642,6 +715,7 @@ def test_count_factors_frozen():
     assert count_factors(5, 1, 3).count == 342
     assert count_factors(5, 1, 4).count == 373
     assert count_factors(5, 1, 5).count == 374
+    assert count_factors(8, 1, 2).count == 11051
 
 
 def _oracle_distinct_partitions(sigs, C):
@@ -695,6 +769,30 @@ def test_distinct_partitions_match_prefix_sweep(sigs, C, batch):
     oracle_labels, oracle_owners = _oracle_distinct_partitions(sigs, C)
     assert labels.tolist() == oracle_labels.tolist()
     assert owners.tolist() == oracle_owners.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(distinct_label_rows(), st.integers(0, 4), st.sampled_from([1, 7, 1 << 16]))
+def test_distinct_partitions_survive_fingerprint_collisions(sigs, C, batch):
+    # with every fingerprint equal, each level is one run, and only the
+    # exact comparison of words tells its partitions apart
+    saved = fourier.GOWERS_BATCH_CELLS, fourier._fingerprints
+    fourier.GOWERS_BATCH_CELLS = batch
+    fourier._fingerprints = lambda words, spare: np.zeros(len(words), dtype=np.uint64)
+    try:
+        labels, owners = _distinct_partitions(sigs, C)
+    finally:
+        fourier.GOWERS_BATCH_CELLS, fourier._fingerprints = saved
+    oracle_labels, oracle_owners = _oracle_distinct_partitions(sigs, C)
+    assert labels.tolist() == oracle_labels.tolist()
+    assert owners.tolist() == oracle_owners.tolist()
+
+
+def test_count_factors_survives_fingerprint_collisions(monkeypatch):
+    # sizes 16 and 32 take 2 and 8 words per partition, so they are fingerprinted
+    monkeypatch.setattr(fourier, "_fingerprints", lambda words, spare: np.full(len(words), 7, dtype=np.uint64))
+    assert count_factors(4, 1, 2).count == 51
+    assert count_factors(5, 1, 3).count == 342
 
 
 @pytest.mark.parametrize("n,d,C", [(1, 1, 6), (2, 1, 8), (3, 1, 6)])
