@@ -55,6 +55,7 @@ __all__ = [
 
 GOWERS_EXHAUSTIVE_BUDGET = 1 << 28
 GOWERS_ROW_OP_BUDGET = 1 << 16  # numpy calls on whole rows of one exhaustive U_d
+GOWERS_MAX_DEGREE = 64  # the exhaustive kernel recurses once per degree
 STRUCTURED_ENUM_CAP = 10**6
 POLY_ENUM_CAP = 1 << 20
 GOWERS_BATCH_CELLS = 1 << 16  # table cells per batched residual Gowers call
@@ -713,7 +714,11 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
 def _check_gowers_budget(n: int, d: int, hint: str = "") -> None:
     """Refuse an exhaustive U_d over 2^n points whose 2^(n(d+1)) terms or
     2^(n(d-1)) numpy row operations (the real cost on small tables) exceed
-    their budgets."""
+    their budgets, or whose d exceeds GOWERS_MAX_DEGREE: at n = 0 both
+    budgets admit any d, but _gowers_power recurses d deep."""
+    if d > GOWERS_MAX_DEGREE:
+        raise BudgetExceeded(
+            f"U_{d} exceeds the exhaustive degree cap of {GOWERS_MAX_DEGREE}{hint}")
     if 2 ** (n * (d + 1)) > GOWERS_EXHAUSTIVE_BUDGET:
         raise BudgetExceeded(f"2^{n * (d + 1)} terms exceed the exhaustive budget{hint}")
     if 2 ** (n * (d - 1)) > GOWERS_ROW_OP_BUDGET:
@@ -938,7 +943,8 @@ def best_factor_search(g: Sequence, d: int, C: int) -> tuple[PolynomialFactor, f
     step = max(1, GOWERS_BATCH_CELLS // size)
     for lo in range(0, len(near), step):
         rows = near[lo:lo + step]
-        powers = _gowers_power(np.ascontiguousarray(_residuals(garr, partitions[rows]).T), k)
+        with np.errstate(all="ignore"):  # an overflow gives inf or nan, which never wins
+            powers = _gowers_power(np.ascontiguousarray(_residuals(garr, partitions[rows]).T), k)
         for i, val in zip(rows.tolist(), powers.tolist()):
             resid = max(val, 0.0) ** (1.0 / (1 << k))
             if resid < best_res:

@@ -11,21 +11,19 @@ They are built once per subspace: N's orbit under the transvections is
 mapped through the span table of each subspace's echelon basis.  One
 engine (_sweep) counts the tables on which no constraint holds, so the
 members of Forb: a bit-packed sweep over all 2^(2^n - 1) tables, 64 per
-uint64 word.  The low 6 table bits are the bit inside a word, so each
-constraint marks a precomputed word mask; the next MID_BITS table bits
-index a strided (2,)*MID_BITS view of a buffer of words, and the remaining
-H high bits pick the chunk.  The chunk bits are walked as a binary tree,
-depth first, on one stack of H + 1 buffers: the root marks the constraints
-with no chunk bit, and each node copies its parent's buffer and marks only
-the constraints its own bit decides last and its prefix agrees with, so a
-constraint is marked once per subtree, not once per chunk.  At a leaf
-np.bitwise_count counts the tables left unmarked.  The walk is one thread:
-a second thread would need a second stack, and small strided ORs do not
-overlap across threads.  Pinned points (free-extension counting, Core
-membership) are substituted into the constraints before the sweep, which
-then runs over the free points only; with none free, the one table is
-searched directly.  The members on which some require constraint holds
-are counted by complement: members minus one sweep of forbid and require.
+uint64 word.  The constraints are split once into groups by their part
+above the low WORD_BITS + ROW_BITS table bits, and each group is marked
+once into a bitmap of one row of 2^ROW_BITS words; a group then ORs its
+bitmap into the rows it holds on, one contiguous OR per row.  Blocks of
+2^MID_BITS words are walked as a binary tree over the chunk bits above
+them, depth first, one block per depth: each node ORs into its parent's
+block (a copy of it for the first child) only the groups its own bit
+decides last, and at a leaf np.bitwise_count counts the tables marked.  Pinned points (free-extension
+counting, Core membership) are applied to the constraint arrays before
+the sweep, which then runs over the free points only; with none free, the
+one table is searched directly.  The members on which some require
+constraint holds are counted by complement: members minus one sweep of
+forbid and require.
 
 The unpinned counts (census, count_critical_at_most, the typical-structure
 fraction) do not sweep all 2^n - 1 points: their constraint sets are
@@ -213,22 +211,9 @@ def _merged_constraints(patterns: Sequence[Pattern], n: int) -> tuple:
 # --- engine --------------------------------------------------------------------
 
 WORD_BITS = 6  # 64 tables per uint64 word
-MID_BITS = 15  # 2^15 words (256 KiB) per buffer, one buffer per depth of the chunk tree
-
-
-def _substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
-    """The constraints on the free points once the first fixed_points points
-    are pinned to fixed_ones, shifted so free point fixed_points + 1 is bit 0.
-    A constraint the pins contradict, or one that asks a point to be both
-    one and zero, can never hold and is dropped."""
-    pin = (1 << fixed_points) - 1
-    ones = fixed_ones & pin
-    kept = {}
-    for oq, zq in constraints:
-        if oq & zq or oq & pin & ~ones or zq & ones:
-            continue
-        kept[(oq >> fixed_points, zq >> fixed_points)] = None
-    return tuple(kept)
+MID_BITS = 15  # 2^15 words (256 KiB) per block, one block per depth of the chunk tree
+ROW_BITS = 10  # 2^10 words (8 KiB) per row of a block, the width of a group's bitmap
+BITMAP_WORDS = 1 << 20  # 8 MiB of group bitmaps: full rows for up to 1024 constraints
 
 
 # _BIT_MASKS[b][s]: the tables j < 64 of a word that a constraint allows at
@@ -247,82 +232,103 @@ def _word_mask(oq, zq):
     return np.bitwise_and.reduce(_BIT_MASKS[b, state], axis=-1)
 
 
-def _word_split(oq, zq, mid: int) -> tuple:
-    """Where constraints (oq, zq), int64 arrays, fall in a bitmap of tables,
-    table t at bit t % 64 of word t // 64, in blocks of 2^mid words: the
-    word mask of their low WORD_BITS bits, the bits of the word index within
-    a block that they need one and zero, and the block bits above them, one
-    and zero.  _sweep (through _plan) and the transfer both mark by it."""
+_WORD_MASKS = _word_mask(*np.divmod(np.arange(1 << 2 * WORD_BITS), 1 << WORD_BITS)).reshape(
+    1 << WORD_BITS, 1 << WORD_BITS)  # _WORD_MASKS[oq, zq] = _word_mask(oq, zq)
+
+
+def _groups(key, oq, zq, bits: int) -> tuple:
+    """Constraint parts (oq, zq), int64 arrays, none asking a point to be
+    one and zero, sorted into groups of equal key for _bitmap: the order,
+    the group bounds in it (group g is parts bounds[g] to bounds[g + 1]),
+    and per part in that order its word mask (_word_mask of its low
+    WORD_BITS bits, no table past 2^bits) and the word-index bits it needs
+    one and those it fixes."""
+    order = np.argsort(key, kind="stable")
+    key, oq, zq = key[order], oq[order], zq[order]
     low = (1 << WORD_BITS) - 1
-    block = (1 << mid) - 1
-    shift = WORD_BITS + mid
-    return (_word_mask(oq & low, zq & low), oq >> WORD_BITS & block, zq >> WORD_BITS & block,
-            oq >> shift, zq >> shift)
+    masks = _WORD_MASKS[oq & low, zq & low] & np.uint64((1 << (1 << min(bits, WORD_BITS))) - 1)
+    bounds = [*np.flatnonzero(np.diff(key, prepend=key[:1] - 1)).tolist(), len(key)]
+    return order, bounds, masks, oq >> WORD_BITS, (oq | zq) >> WORD_BITS
 
 
-def _plan(mid: int, high: int, constraints) -> list:
-    """The constraints filed by depth in the tree over the high chunk bits:
-    depth 0 holds those with no chunk bit, depth d > 0 those whose highest
-    chunk bit is bit d - 1.  Each entry is the chunk bits the constraint
-    needs (ones, zeros), the index of the words it touches in the (2,)*mid
-    view of a buffer, and its word mask."""
-    axes = [1 << (mid - 1 - axis) for axis in range(mid)]
-    every = slice(None)
-    plan = [[] for _ in range(high + 1)]
-    oq, zq = np.array(constraints, dtype=np.int64).reshape(-1, 2).T
-    wm, ones, zeros, oh, zh = _word_split(oq, zq, mid)
-    for m, o, z, oh, zh in zip(wm, ones.tolist(), zeros.tolist(), oh.tolist(), zh.tolist()):
-        # the trailing ... makes indexing give a view, never a scalar, even when mid = 0
-        idx = (*[1 if o & bit else 0 if z & bit else every for bit in axes], ...)
-        plan[(oh | zh).bit_length()].append((oh, zh, idx, m))
-    return plan
+def _bitmap(masks, ones, care, words: int) -> np.ndarray:
+    """The tables c < 64 * words on which some of the parts (masks, ones,
+    care from _groups, read on their low 6 + log2(words) bits) holds, as a
+    bitmap, table c at bit c % 64 of word c // 64: a part marks its word mask
+    in the words whose index agrees with it, one array test for all the
+    parts.  _sweep and the transfer both mark a group of parts so."""
+    w = np.arange(words)
+    marked = np.where(w & care[:, None] == w[-1] & ones[:, None], masks[:, None], 0)
+    return np.bitwise_or.reduce(marked, axis=0)
 
 
 def _sweep(nbits: int, constraints) -> int:
-    """Sweep all 2^nbits tables, 64 per uint64 word (table t is bit t % 64
-    of word t // 64), and count those on which no constraint holds.  The
-    constraints must have been through _substitute; with the empty
-    constraint (0, 0) among them, which holds on every table, the count is
-    0 at once.
+    """The number of tables t < 2^nbits on which no constraint (oq, zq), int
+    pairs or a (k, 2) array, holds; 0 at once with the empty constraint
+    (0, 0), which holds on every table.
 
-    Word w of chunk c holds tables (c * 2^mid + w) * 64 + j, j < 64.  The
-    bits of c are walked depth first, lowest first, with one buffer of 2^mid
-    words per depth: a node copies its parent's buffer and ORs in the
-    constraints of its depth (see _plan) that agree with its prefix, c mod
-    2^depth.  OR is idempotent and order-free, so each leaf marks exactly the
-    tables of its chunk on which some constraint holds."""
-    if (0, 0) in constraints:
+    Table t is bit t % 64 of a word, and the bits above read [chunk | row |
+    row word]: rows of 2^width words (ROW_BITS, fewer when the bitmaps would
+    outgrow BITMAP_WORDS) and blocks of 2^MID_BITS words.  The constraints
+    are grouped by their part above the row words (_groups), and each group
+    is marked once into a one-row bitmap (_bitmap) that is ORed into every
+    row whose row bits agree with the group's.  The root block is built
+    breadth first over the row bits (rows [0, 2^l) copied onto [2^l,
+    2^(l+1)), then the groups whose highest row bit is l), and the chunk
+    bits are walked as a binary tree, depth first, on a stack of blocks: a
+    node ORs into its parent's block, or a copy of it, the groups whose
+    highest chunk bit is its own and whose chunk bits agree with its prefix.
+    OR is idempotent and order-free, so each leaf marks exactly the tables
+    of its chunk on which some constraint holds."""
+    oq, zq = np.asarray(constraints, dtype=np.int64).reshape(-1, 2).T
+    if not (oq | zq).all():
         return 0
+    oq, zq = np.compress((oq & zq) == 0, (oq, zq), axis=1)  # a point one and zero: never holds
     mid = max(0, min(MID_BITS, nbits - WORD_BITS))
-    high = max(0, nbits - WORD_BITS - mid)
-    valid = np.uint64((1 << (1 << min(nbits, WORD_BITS))) - 1)
-    plan = _plan(mid, high, constraints)
+    width = max(0, min(ROW_BITS, mid, (BITMAP_WORDS // max(1, len(oq))).bit_length() - 1))
+    rows, high, shift = mid - width, max(0, nbits - WORD_BITS - mid), WORD_BITS + width
+    order, bounds, masks, ones, care = _groups(oq >> shift << 32 | zq >> shift, oq, zq, nbits)
+    plan = [[] for _ in range(high + 1)]  # plan[d]: the groups whose highest chunk bit is d - 1
+    levels = [[] for _ in range(rows + 1)]  # levels[l]: the root's, by highest row bit l - 1
+    heads = order[bounds[:-1]]
+    for lo, hi, o, z in zip(bounds, bounds[1:], (oq[heads] >> shift).tolist(),
+                            (zq[heads] >> shift).tolist()):
+        depth = ((o | z) >> rows).bit_length()
+        level = rows if depth else (o | z).bit_length()
+        # its rows; the trailing ... makes indexing give a view, never a scalar
+        idx = (*[1 if o >> b & 1 else 0 if z >> b & 1 else slice(None)
+                 for b in reversed(range(level))], ...)
+        bitmap = _bitmap(masks[lo:hi], ones[lo:hi], care[lo:hi], 1 << width)
+        (plan[depth] if depth else levels[level]).append((o >> rows, z >> rows, idx, bitmap))
     stack = np.empty((high + 1, 1 << mid), dtype=np.uint64)
-    view = [row.reshape((2,) * mid) for row in stack]
-    total = 0
-    todo = [(0, 0)]  # (depth, prefix) of the nodes still to visit
+    root = stack[0].reshape(1 << rows, 1 << width)
+    root[0] = 0
+    for level, groups in enumerate(levels):
+        half = (1 << level) >> 1
+        root[half:2 * half] = root[:half]
+        view = root[:1 << level].reshape((2,) * level + (1 << width,))
+        for _, _, idx, bitmap in groups:
+            hit = view[idx]  # `view[idx] |= ...` would write it back again
+            hit |= bitmap
+    views = [block.reshape((2,) * rows + (1 << width,)) for block in stack]
+    marked = 0
+    todo = [(0, 0, 0)]  # (depth, prefix, block) of the nodes still to visit
     while todo:
-        depth, prefix = todo.pop()
-        if depth:
-            np.copyto(stack[depth], stack[depth - 1])
-        else:
-            stack[0].fill(0)
-        for oh, zh, idx, wm in plan[depth]:
-            if prefix & oh == oh and not prefix & zh:
-                marked = view[depth][idx]  # `view[idx] |= wm` would write it back again
-                marked |= wm
+        depth, prefix, at = todo.pop()
+        for o, z, idx, bitmap in plan[depth]:
+            if prefix & o == o and not prefix & z:
+                hit = views[at][idx]
+                hit |= bitmap
         if depth < high:
-            # the second child is popped after the first child's subtree,
-            # which writes only deeper buffers, so stack[depth] is still this
-            # node's when the second child copies it
-            todo.append((depth + 1, prefix | 1 << depth))
-            todo.append((depth + 1, prefix))
-            continue
-        words = stack[high]
-        np.invert(words, out=words)
-        words &= valid
-        total += int(np.bitwise_count(words).sum())
-    return total
+            # the first child copies this block into the next one; the
+            # second is popped after the first child's subtree, which writes
+            # only later blocks, and takes this block over in place
+            np.copyto(stack[at + 1], stack[at])
+            todo.append((depth + 1, prefix | 1 << depth, at))
+            todo.append((depth + 1, prefix, at + 1))
+        else:
+            marked += int(np.bitwise_count(stack[at]).sum(dtype=np.uint32))
+    return (1 << nbits) - marked
 
 
 def _check_dim(n: int, fixed_points: int = 0) -> None:
@@ -362,12 +368,18 @@ def count_members(
     """
     _check_dim(n, fixed_points)
     free = (1 << n) - 1 - fixed_points
-    forbid = _substitute(forbid, fixed_points, fixed_ones)
-    require = _substitute(require, fixed_points, fixed_ones)
+    pin = (1 << fixed_points) - 1
+    ones = fixed_ones & pin
+
+    def pinned(constraints):  # shifted onto the free points; those the pins contradict never hold
+        pairs = np.array(constraints, dtype=np.int64).reshape(-1, 2)
+        return pairs[~(pairs & [pin & ~ones, ones]).any(axis=1)] >> fixed_points
+
+    forbid, require = pinned(forbid), pinned(require)
     members = _sweep(free, forbid)
-    if not require or not members:
+    if not len(require) or not members:
         return members, 0
-    return members, members - _sweep(free, forbid + require)
+    return members, members - _sweep(free, np.concatenate((forbid, require)))
 
 
 # _TABLE_ORBITS[m]: one (least table, orbit size) pair per GL(m, 2)-orbit of
@@ -397,42 +409,30 @@ def _coset_members(n: int, reps: np.ndarray, constraints) -> np.ndarray:
     A constraint splits into its part on H, (oq & pin, zq & pin), which holds
     on t or not, and its part on C, (oq >> h, zq >> h), which marks the
     coset tables it holds on.  The constraints are sorted into groups by
-    their part on H, and every group is tested against every representative
-    in one comparison: holds[r, g].  A representative on which a group with
-    the empty part on C holds has no member extension.  Each group that
-    holds on another representative is marked once into a coset bitmap,
-    table c at bit c % 64 of word c // 64 (_word_split), and ORed into the
-    row of each representative it holds on; a representative's count is
-    2^(h+1) minus the popcount of its row.  A part marks its word mask in
-    the words whose index agrees with it, one array test for all the
-    group's parts: over 2^(h+1-6) words (1024 at n = 5) that is cheaper
-    than _sweep's strided OR per part.
+    their part on H (_groups), and every group is tested against every
+    representative in one comparison: holds[r, g].  A representative on
+    which a constraint on H alone holds has no member extension.  Each group
+    that holds on another representative is marked once into a coset bitmap
+    (_bitmap) and ORed into the row of each representative it holds on; a
+    representative's count is 2^(h+1) minus the popcount of its row.
     """
     h = (1 << (n - 1)) - 1
     pin = (1 << h) - 1
-    mid = max(0, h + 1 - WORD_BITS)
+    words = 1 << max(0, h + 1 - WORD_BITS)
     oq, zq = np.array(constraints, dtype=np.int64).reshape(-1, 2).T
+    oq, zq = np.compress((oq & zq) == 0, (oq, zq), axis=1)  # a point one and zero: never holds
+    # a constraint on H alone leaves no member extension where it holds
+    on_h = (oq | zq) >> h == 0
+    dead = ((reps[:, None] & oq[on_h] == oq[on_h]) & (reps[:, None] & zq[on_h] == 0)).any(axis=1)
     key = (oq & pin) << h | zq & pin
-    order = np.flatnonzero((oq & zq) == 0)  # a pair asking a point to be one and zero never holds
-    order = order[np.argsort(key[order], kind="stable")]
-    key, oq, zq = key[order], oq[order] >> h, zq[order] >> h
-    first = np.diff(key, prepend=-1) != 0
-    starts = np.flatnonzero(first).tolist() + [len(key)]
-    ho, hz = key[first] >> h, key[first] & pin
-    holds = (reps[:, None] & ho == ho) & (reps[:, None] & hz == 0)
-    # a group with the empty part on C leaves no member extension: not marked
-    dead = holds[:, np.cumsum(first)[(oq | zq) == 0] - 1].any(axis=1)
-    holds[dead] = False
-    masks, ones, zeros, _, _ = _word_split(oq, zq, mid)  # nothing above the words
-    masks &= np.uint64((1 << (1 << min(h + 1, WORD_BITS))) - 1)  # no table past 2^(h+1)
-    masks, ones, care = masks[:, None], ones[:, None], (ones | zeros)[:, None]
-    w = np.arange(1 << mid)
-    zero = np.uint64(0)
-    rows = np.zeros((len(reps), 1 << mid), dtype=np.uint64)
+    order, bounds, masks, ones, care = _groups(key, oq >> h, zq >> h, h + 1)
+    heads = key[order[bounds[:-1]]]
+    holds = (reps[:, None] & heads >> h == heads >> h) & (reps[:, None] & heads & pin == 0)
+    holds[dead] = False  # dead rows are not marked
+    rows = np.zeros((len(reps), words), dtype=np.uint64)
     for g in np.flatnonzero(holds.any(axis=0)).tolist():
-        a, b = starts[g], starts[g + 1]
-        marked = np.where(w & care[a:b] == ones[a:b], masks[a:b], zero)
-        rows[holds[:, g]] |= np.bitwise_or.reduce(marked, axis=0)
+        lo, hi = bounds[g], bounds[g + 1]
+        rows[holds[:, g]] |= _bitmap(masks[lo:hi], ones[lo:hi], care[lo:hi], words)
     return np.where(dead, 0, (1 << (h + 1)) - np.bitwise_count(rows).sum(axis=1, dtype=np.int64))
 
 
@@ -819,7 +819,7 @@ def isomorphism_class_census(P: LocalProperty, n: int) -> int:
         onto[np.arange(npts), np.array(cycle[1:]) - 1] = 1
         # the cycles a mask meets, as the sum of their distinct bits
         on_cycles = (points @ onto > 0) @ (1 << np.arange(cycles))
-        total += size * _sweep(cycles, _substitute(on_cycles.tolist(), 0, 0))
+        total += size * _sweep(cycles, on_cycles)
     order = count_linear_injections(n, n)
     assert total % order == 0, f"Burnside sum {total} is not a multiple of |GL({n},2)| = {order}"
     return total // order

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import random
+import warnings
 from unittest import mock
 
 import pytest
@@ -287,6 +288,31 @@ def test_decomp_probe_residual_bits(capsys, tmp_path):
     path.write_text("0/8 8/8 1/8 7/8 4/8 2/8 4/8 6/8\n")
     art = run_json(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "2")
     assert art["result"]["residual"] == 0.10211187115364857
+
+
+def test_decomp_probe_refuses_a_degree_past_the_kernel_depth(capsys, tmp_path):
+    # one value is n = 0, where both Gowers budgets admit any degree, but
+    # the exhaustive kernel recurses once per degree: refused, naming the cap
+    path = tmp_path / "g.vals"
+    path.write_text("1/2\n")
+    code, out, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "2000", "--k", "1")
+    assert code != 0 and out == ""
+    assert "U_2001 exceeds the exhaustive degree cap of 64" in err
+    assert "Traceback" not in err
+    art = run_json(capsys, "decomp-probe", "--input", str(path), "--d", "63", "--k", "1")
+    assert art["result"]["residual"] == 0.0
+
+
+def test_decomp_probe_overflow_is_quiet(capsys, tmp_path):
+    # the products of these values overflow in the residual kernel: the
+    # artifact says so, and no numpy RuntimeWarning is raised or printed
+    path = tmp_path / "g.vals"
+    path.write_text("1e200 -1e200 3 1 0 0 0 1e100\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "decomp-probe", "--input", str(path), "--d", "1", "--k", "2")
+    assert code == 0 and "RuntimeWarning" not in err
+    assert json.loads(out)["result"]["residual"] == "inf"
 
 
 def test_structured(capsys, tmp_path):

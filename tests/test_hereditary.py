@@ -251,6 +251,22 @@ def test_count_members_matches_oracle(n, data, mid):
 FLAT_MID_BITS = 17  # the flat loop's chunks: 2^17 words (1 MiB)
 
 
+def substitute(constraints, fixed_points: int, fixed_ones: int) -> tuple:
+    """The constraints on the free points once the first fixed_points points
+    are pinned to fixed_ones, shifted so free point fixed_points + 1 is bit 0,
+    as tuples: a constraint the pins contradict, or one that asks a point to
+    be both one and zero, can never hold and is dropped, and duplicates are
+    dropped too.  The pin step of count_members as first written."""
+    pin = (1 << fixed_points) - 1
+    ones = fixed_ones & pin
+    kept = {}
+    for oq, zq in constraints:
+        if oq & zq or oq & pin & ~ones or zq & ones:
+            continue
+        kept[(oq >> fixed_points, zq >> fixed_points)] = None
+    return tuple(kept)
+
+
 def flat_plan(mid, constraints):
     """Per constraint: the chunk bits it needs (ones, zeros), the index of
     the words it touches in the (2,)*mid view, and its word mask."""
@@ -343,10 +359,10 @@ def test_sweep_matches_flat_loop(data, nbits, with_require):
     # a chunk tree of depth 4 or 5; the flat loop sees 1 or 2 MiB chunks.
     # The constraints sit above 31 - nbits pinned zero points, which
     # count_members substitutes away again
-    forbid = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
+    forbid = substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
     require = ()
     if with_require:
-        require = hereditary._substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
+        require = substitute(data.draw(bit_constraint_lists(nbits)), 0, 0)
     fixed = 31 - nbits
 
     def pinned(constraints):
@@ -365,9 +381,70 @@ def test_multi_chunk_sweep_matches_flat_loop(data, fixed_points):
     require = data.draw(short_constraint_lists(5))  # may be empty: forbid only
     fixed_ones = data.draw(point_sets(5))
     free = 31 - fixed_points
-    want = flat_sweep(free, hereditary._substitute(forbid, fixed_points, fixed_ones),
-                      hereditary._substitute(require, fixed_points, fixed_ones))
+    want = flat_sweep(free, substitute(forbid, fixed_points, fixed_ones),
+                      substitute(require, fixed_points, fixed_ones))
     assert count_members(5, forbid, require, fixed_points, fixed_ones) == want
+
+
+def raw_constraint_lists(nbits):
+    """Up to eight (oq, zq) pairs on the low nbits table bits, at most four
+    bits each: disjoint, or asking each bit of zq to be both one and zero;
+    then a duplicate of the first pair and at most one empty constraint
+    (0, 0)."""
+    masks = st.sets(st.integers(0, nbits - 1), max_size=4) if nbits else st.just(set())
+    masks = masks.map(lambda s: sum(1 << b for b in s))
+    raw = st.tuples(masks, masks)
+    pair = st.one_of(raw.map(lambda p: (p[0] & ~p[1], p[1])), raw.map(lambda p: (p[0] | p[1], p[1])))
+    return st.tuples(st.lists(pair, max_size=8), st.lists(st.just((0, 0)), max_size=1)).map(
+        lambda p: p[0] + p[0][:1] + p[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nbits=st.integers(0, 31), pinned=st.booleans())
+def test_sweep_matches_substitute_and_flat_loop(data, nbits, pinned):
+    # every width, against the tuple pin step and the flat loop.  Small
+    # MID_BITS run the chunk tree deep (kept to 2^10 leaves), and ROW_BITS
+    # 0 makes every row one word wide.  Pinned: the pairs sit on all 31
+    # points of dim 5, the first 31 - nbits of them pinned
+    mid = data.draw(st.sampled_from(
+        [m for m in (hereditary.MID_BITS, 3, 1, 0) if nbits - 6 - m <= 10]))
+    row = data.draw(st.sampled_from([hereditary.ROW_BITS, 2, 0]))
+    budget = data.draw(st.sampled_from([hereditary.BITMAP_WORDS, 8]))  # 8: rows narrow further
+    fixed = 31 - nbits if pinned else 0
+    forbid = data.draw(raw_constraint_lists(fixed + nbits))
+    require = data.draw(raw_constraint_lists(fixed + nbits)) if pinned else ()
+    fixed_ones = data.draw(st.integers(0, (1 << fixed) - 1))
+    want = flat_sweep(nbits, substitute(forbid, fixed, fixed_ones),
+                      substitute(require, fixed, fixed_ones))
+    with mock.patch.object(hereditary, "MID_BITS", mid), \
+            mock.patch.object(hereditary, "ROW_BITS", row), \
+            mock.patch.object(hereditary, "BITMAP_WORDS", budget):
+        if pinned:
+            assert count_members(5, forbid, require, fixed, fixed_ones) == want
+        else:
+            assert hereditary._sweep(nbits, forbid) == want[0]
+            assert hereditary._sweep(nbits, np.array(forbid, dtype=np.int64)) == want[0]
+
+
+def test_sweep_rows_narrow_for_large_constraint_sets():
+    # 364 groups, each pinning bits 16-21 of a 22-bit table (a chunk tree
+    # of depth 1): full rows would hold 364 bitmaps of 8 KiB, about 3 MiB.
+    # Under a bitmap budget of 2^14 words (128 KiB) the rows narrow to 32
+    # words, the count is unchanged, and the sweep holds its two blocks and
+    # less than 1 MiB more
+    pairs = [(sum(1 << 16 + b for b in range(6) if s // 3 ** b % 3 == 1),
+              sum(1 << 16 + b for b in range(6) if s // 3 ** b % 3 == 2)) for s in range(1, 729, 2)]
+    want = flat_sweep(22, pairs)[0]
+    assert want > 0
+    with mock.patch.object(hereditary, "BITMAP_WORDS", 1 << 14):
+        tracemalloc.start()
+        try:
+            got = hereditary._sweep(22, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert got == want == hereditary._sweep(22, pairs)
+    assert peak < (16 << hereditary.MID_BITS) + (1 << 20)
 
 
 @pytest.mark.parametrize("nbits", [26, 31])
@@ -396,7 +473,7 @@ def test_sweep_memory_is_one_stack_per_plan(nbits):
 def test_count_members_edge_constraints():
     # the pins (point 1 = 1, point 2 = 0) contradict the forbid constraint,
     # which is dropped; the empty constraint leaves no member at all; a
-    # constraint asking point 8 (a strided-view bit) to be both one and
+    # constraint asking point 8 (a word-index bit) to be both one and
     # zero holds on no table
     assert count_members(3, ((0b11, 0b100),), ((0b1000000, 0),), 2, 0b01) == (32, 16)
     assert count_members(4, ((0, 0),)) == (0, 0)
@@ -569,7 +646,7 @@ def test_isomorphism_class_census_differential(pats, n):
 def test_isomorphism_class_census_drops_split_cycles():
     # no two points may differ, so only the two constant tables are members;
     # at n=4 a cycle that holds a one and a zero of a constraint also falls
-    # on the sweep's strided bits (6 and up), and that constraint must go
+    # on the sweep's word-index bits (6 and up), and that constraint must go
     P = forb(Pattern.from_values([1, 0, STAR]))
     for n in (2, 3, 4):
         assert isomorphism_class_census(P, n) == oracle_class_census(P, n) == 2
