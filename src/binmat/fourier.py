@@ -696,18 +696,19 @@ def gowers_norm(f: Sequence, d: int, samples: Optional[int] = None, seed: int = 
     arr = np.asarray(f, dtype=np.float64)
     size = arr.size
     n = _table_dim(size)
-    if samples is None:
-        _check_gowers_budget(n, d, "; pass samples= for Monte-Carlo")
-        val = float(_gowers_power(arr[None], d)[0])
-        return max(val, 0.0) ** (1.0 / (1 << d))
-    if samples <= 0:
-        raise ValueError("monte_carlo mode needs samples > 0")
-    rng = random.Random(seed)
-    acc = 0.0
-    for _ in range(samples):
-        x = rng.randrange(size)  # then x + sum_{i in S} h_i with S in bit order
-        cube = span_table([rng.randrange(size) for _ in range(d)])
-        acc += math.prod((arr[x ^ y] for y in cube), start=1.0)
+    with np.errstate(all="ignore"):  # a product that overflows gives inf or nan, as floats do
+        if samples is None:
+            _check_gowers_budget(n, d, "; pass samples= for Monte-Carlo")
+            val = float(_gowers_power(arr[None], d)[0])
+            return max(val, 0.0) ** (1.0 / (1 << d))
+        if samples <= 0:
+            raise ValueError("monte_carlo mode needs samples > 0")
+        rng = random.Random(seed)
+        acc = 0.0
+        for _ in range(samples):
+            x = rng.randrange(size)  # then x + sum_{i in S} h_i with S in bit order
+            cube = span_table([rng.randrange(size) for _ in range(d)])
+            acc += math.prod((arr[x ^ y] for y in cube), start=1.0)
     return max(acc / samples, 0.0) ** (1.0 / (1 << d))
 
 

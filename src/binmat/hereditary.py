@@ -37,8 +37,9 @@ comparison, each group's parts on C are marked once into coset bitmaps of
 2^(2^(n-1)) bits, and a representative's bitmap is the OR of the groups
 that hold on it, so its member extensions are one popcount.  The
 isomorphism-class census runs the sweep once per conjugacy class of
-GL(n,2), with one table bit per cycle, and its identity term by the
-transfer.
+GL(n,2) (the checked-in gf2._GL_CLASSES), with one table bit per cycle and
+each constraint mask mapped onto the cycles it meets, and its identity term
+by the transfer.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ from .errors import BudgetExceeded
 from .gf2 import (
     SUBSPACE_ENUM_MAX_DIM,
     Subspace,
+    _GL_CLASSES,
     _echelon_bases,
-    _gl_conjugacy_classes,
     _transvection_perms,
     count_linear_injections,
     span_table,
@@ -180,8 +181,6 @@ def instance_constraints(N: Pattern, n: int) -> tuple:
     d = N.dim
     if d > n:
         return ()
-    if d == 0:
-        return ((0, 0),)
     orbit = _pattern_orbit(N)
     npts = (1 << n) - 1
     dtype = np.int64 if n <= CENSUS_MAX_DIM else object
@@ -216,31 +215,19 @@ ROW_BITS = 10  # 2^10 words (8 KiB) per row of a block, the width of a group's b
 BITMAP_WORDS = 1 << 20  # 8 MiB of group bitmaps: full rows for up to 1024 constraints
 
 
-# _BIT_MASKS[b][s]: the tables j < 64 of a word that a constraint allows at
-# bit b of j, for s = 0 (b free), 1 (b one), 2 (b zero) and 3 (b both: none)
-_BIT_MASKS = np.array([[(1 << 64) - 1, m, m ^ ((1 << 64) - 1), 0] for m in (
-    0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)], dtype=np.uint64)
-
-
-def _word_mask(oq, zq):
-    """Bit j set iff the table with low bits j satisfies (oq, zq) there, for
-    oq, zq < 64, elementwise on integer arrays: the AND over the low bits b
-    of _BIT_MASKS[b][s], s the state of b in (oq, zq), so 0 when oq & zq."""
-    b = np.arange(WORD_BITS)
-    state = (np.asarray(oq)[..., None] >> b & 1) | (np.asarray(zq)[..., None] >> b & 1) << 1
-    return np.bitwise_and.reduce(_BIT_MASKS[b, state], axis=-1)
-
-
-_WORD_MASKS = _word_mask(*np.divmod(np.arange(1 << 2 * WORD_BITS), 1 << WORD_BITS)).reshape(
-    1 << WORD_BITS, 1 << WORD_BITS)  # _WORD_MASKS[oq, zq] = _word_mask(oq, zq)
+_low = np.arange(1 << WORD_BITS)  # the tables j < 64 of a word, as their low bits
+# _WORD_MASKS[oq, zq]: bit j set iff table j satisfies (oq, zq) on its low bits,
+# j & oq == oq and not j & zq, so 0 when oq & zq; for oq, zq < 64
+_WORD_MASKS = np.array([np.packbits((_low & oq == oq) & (_low & _low[:, None] == 0), axis=1,
+                                    bitorder="little").view("<u8")[:, 0] for oq in _low],
+                       dtype=np.uint64)
 
 
 def _groups(key, oq, zq, bits: int) -> tuple:
     """Constraint parts (oq, zq), int64 arrays, none asking a point to be
     one and zero, sorted into groups of equal key for _bitmap: the order,
     the group bounds in it (group g is parts bounds[g] to bounds[g + 1]),
-    and per part in that order its word mask (_word_mask of its low
+    and per part in that order its word mask (_WORD_MASKS of its low
     WORD_BITS bits, no table past 2^bits) and the word-index bits it needs
     one and those it fixes."""
     order = np.argsort(key, kind="stable")
@@ -601,19 +588,15 @@ def _search_good_coloring(n: int, d: int, node_budget: int) -> tuple[Optional[Ma
     npts = (1 << n) - 1
     if d > n:
         return Matroid(n, 0), 1
-    flats = list(subspace_point_masks(n, d))
     by_last: list[list] = [[] for _ in range(npts + 1)]
-    maxlast = 1
-    for f in flats:
-        last = f.bit_length()
-        by_last[last].append(f)
-        maxlast = max(maxlast, last)
+    for f in subspace_point_masks(n, d):
+        by_last[f.bit_length()].append(f)
     nodes = 0
 
     def rec(p: int, ones: int) -> Optional[int]:
         nonlocal nodes
-        if p > maxlast:
-            return ones  # remaining points take color 0
+        if p > npts:
+            return ones
         choices = (0,) if p == 1 else (0, 1)
         bit = 1 << (p - 1)
         for v in choices:
@@ -775,51 +758,47 @@ def count_free_extensions(M: Matroid, W_dim_ambient: int, Np) -> FreeExtensionRe
 
 # --- diagnostics -----------------------------------------------------------------
 
-def _cycle_numbers(perm: list[int]) -> tuple[list[int], int]:
-    """For the permutation p -> perm[p] of the points 1..len(perm) - 1:
-    cycle[p] = the number of p's cycle, cycles numbered 1, 2, ... in the
-    order of their least points, and the number of cycles."""
-    cycle = [0] * len(perm)
-    k = 0
+def _cycle_masks(perm: list[int]) -> list[int]:
+    """The point masks (bit p - 1 for point p) of the cycles of the
+    permutation p -> perm[p] of the points 1..len(perm) - 1, in the order of
+    their least points."""
+    seen, masks = 0, []
     for p in range(1, len(perm)):
-        if not cycle[p]:
-            k += 1
-            q = p
-            while not cycle[q]:
-                cycle[q] = k
-                q = perm[q]
-    return cycle, k
+        mask, q = 0, p
+        while not (seen | mask) >> (q - 1) & 1:
+            mask |= 1 << (q - 1)
+            q = perm[q]
+        if mask:
+            seen |= mask
+            masks.append(mask)
+    return masks
 
 
 def isomorphism_class_census(P: LocalProperty, n: int) -> int:
     """Number of isomorphism classes (GL(n,2)-orbits) among the dim-n
     members, exact.
 
-    Burnside's lemma over the conjugacy classes C of GL(n,2): the number
-    is (1/|GL(n,2)|) * sum_C |C| * |Fix(g_C)|.  A table is fixed by g iff
-    it is constant on each cycle of g on the points, so |Fix(g)| is one
-    engine sweep with one table bit per cycle, each constraint mapped onto
-    the cycles.  The identity's term is the labeled census, counted by
-    hyperplane transfer (_transfer).  Raises
-    BudgetExceeded for n > CENSUS_MAX_DIM before building any constraint.
+    Burnside's lemma over the conjugacy classes C of GL(n,2) (the checked-in
+    gf2._GL_CLASSES): the number is (1/|GL(n,2)|) * sum_C |C| * |Fix(g_C)|.
+    A table is fixed by g iff it is constant on each cycle of g on the
+    points, so |Fix(g)| is one engine sweep with one table bit per cycle,
+    each constraint mask mapped onto the cycles it meets.  The identity's
+    term is the labeled census, counted by hyperplane transfer (_transfer).
+    Raises BudgetExceeded for n > CENSUS_MAX_DIM before building any
+    constraint.
     """
     _check_dim(n)
     constraints = _merged_constraints(P.forbidden, n)
-    npts = (1 << n) - 1
-    # points[k, s, p - 1]: point p is in the ones (s = 0) or zeros (s = 1) of constraint k
     masks = np.array(constraints, dtype=np.int64).reshape(-1, 2, 1)
-    points = (masks >> np.arange(npts) & 1).astype(np.uint8)
     total = 0
-    for columns, size in _gl_conjugacy_classes(n):
-        cycle, cycles = _cycle_numbers(span_table(columns))
-        if cycles == npts:  # the identity: the labeled census
+    for columns, size in _GL_CLASSES[n]:
+        cycles = np.array(_cycle_masks(span_table(columns)), dtype=np.int64)
+        if len(cycles) == (1 << n) - 1:  # the identity: the labeled census
             total += size * _transfer(n, constraints)[0]
             continue
-        onto = np.zeros((npts, cycles), dtype=np.uint8)  # point p -> its cycle
-        onto[np.arange(npts), np.array(cycle[1:]) - 1] = 1
         # the cycles a mask meets, as the sum of their distinct bits
-        on_cycles = (points @ onto > 0) @ (1 << np.arange(cycles))
-        total += size * _sweep(cycles, on_cycles)
+        on_cycles = ((masks & cycles) != 0) @ (1 << np.arange(len(cycles)))
+        total += size * _sweep(len(cycles), on_cycles)
     order = count_linear_injections(n, n)
     assert total % order == 0, f"Burnside sum {total} is not a multiple of |GL({n},2)| = {order}"
     return total // order

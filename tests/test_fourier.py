@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -404,6 +405,16 @@ def test_gowers_rejects_bad_lengths():
         gowers_norm([1.0, 2.0, 3.0], 1)
     with pytest.raises(ValueError):
         gowers_norm([1.0, 2.0], 0)
+
+
+def test_gowers_overflow_is_quiet():
+    # the products of these values overflow: inf exhaustively, nan by
+    # sampling, with no numpy warning on the way
+    f = [1e200, -1e200, 3, 1, 0, 0, 0, 1e100]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gowers_norm(f, 2) == math.inf
+        assert math.isnan(gowers_norm(f, 2, samples=50))
 
 
 # --- entropy and structured counts ------------------------------------------------------

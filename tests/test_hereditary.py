@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import binmat.gf2 as gf2
 import binmat.hereditary as hereditary
 from binmat.errors import BudgetExceeded
 from binmat.gf2 import (
@@ -720,16 +721,16 @@ def test_transfer_memory_holds_one_bitmap_per_group_at_a_time():
 
 
 def oracle_word_mask(oq: int, zq: int) -> np.uint64:
-    """_word_mask as first written: one term per table of the word."""
+    """A _WORD_MASKS entry as first written: one term per table of the word."""
     return np.uint64(sum(1 << j for j in range(64) if j & oq == oq and not j & zq))
 
 
 def test_word_mask_matches_oracle():
-    oq, zq = np.divmod(np.arange(64 * 64), 64)
-    want = [oracle_word_mask(o, z) for o, z in zip(oq.tolist(), zq.tolist())]
-    assert hereditary._word_mask(oq, zq).tolist() == [int(w) for w in want]
-    assert all(hereditary._word_mask(o, z) == w for o, z, w in zip(oq.tolist(), zq.tolist(), want))
-    assert want[3 * 64 + 1] == 0  # oq & zq: bit 0 both one and zero
+    table = hereditary._WORD_MASKS
+    assert table.shape == (64, 64) and table.dtype == np.uint64
+    want = [[oracle_word_mask(o, z) for z in range(64)] for o in range(64)]
+    assert table.tolist() == [[int(w) for w in row] for row in want]
+    assert want[3][1] == 0  # oq & zq: bit 0 both one and zero
 
 
 def oracle_table_orbits(m: int) -> tuple[tuple[int, int], ...]:
@@ -808,6 +809,16 @@ def test_instance_constraints_past_int64_masks(name):
     got = instance_constraints(bp(name), 6)
     assert got == injection_walk_constraints(bp(name), 6)
     assert max(oq | zq for oq, zq in got) >> 62
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_instance_constraints_of_a_dim0_pattern(n):
+    # one embedding, the empty map, so the empty constraint, which holds on
+    # every table; at n = 6 the masks are Python ints
+    N = Pattern.constant(0, 0)
+    assert instance_constraints(N, n) == ((0, 0),)
+    if n <= hereditary.CENSUS_MAX_DIM:
+        assert census(forb(N), n).count == 0
 
 
 def walk_pattern_orbit(N: Pattern) -> set:
@@ -901,9 +912,17 @@ def test_isomorphism_class_census_n5_by_hand():
     assert isomorphism_class_census(forb(bp("BB:1:2")), 5) == 2
 
 
+def test_isomorphism_class_census_n5_frozen():
+    # Burnside over the checked-in classes, one entry per dimension the census
+    # reaches; 1372 and 39 also come out of listing the orbits directly
+    # (ROADMAP items 2 and 3)
+    assert len(gf2._GL_CLASSES) == hereditary.CENSUS_MAX_DIM + 1
+    properties = [forb(), forb(ONES3), forb(O2), forb(ONES3, bp("zeros:3")), forb(O2, ONES3)]
+    assert [isomorphism_class_census(P, 5) for P in properties] == [1372, 741, 39, 110, 0]
+
+
 def test_isomorphism_class_census_cap():
-    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError), \
-            mock.patch.object(hereditary, "_gl_conjugacy_classes", side_effect=AssertionError):
+    with mock.patch.object(hereditary, "_merged_constraints", side_effect=AssertionError):
         with pytest.raises(BudgetExceeded, match="capped at dim 5"):
             isomorphism_class_census(forb(O2), 6)
 
@@ -1112,6 +1131,15 @@ def test_ramsey_dimension_one():
     res = ramsey_dimension(1, 3)
     assert res.value == 1
     assert verify_ramsey_result(res, samples=50)
+
+
+def test_ramsey_search_nodes_frozen():
+    # the DFS walks every point; a good coloring is found or ruled out
+    assert ramsey_dimension(2, 5).transcript["nodes"] == 61
+    for n, nodes in ((3, 8), (4, 20), (5, 46)):
+        coloring, got = hereditary._search_good_coloring(n, 3, 1000)
+        assert got == nodes
+        assert verify_ramsey_result(hereditary.RamseyResult(3, None, {n: coloring}))
 
 
 def test_ramsey_budget():
