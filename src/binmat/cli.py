@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .errors import BudgetExceeded
 from .fourier import best_factor_search, count_structured, enumerate_structured, function_entropy, polynomial_to_text
-from .gf2 import Subspace, rooted_subspace_packing
+from .gf2 import Subspace, count_linear_injections, rooted_subspace_packing
 from .hereditary import (
     _structure_counts,
     census,
@@ -241,16 +241,31 @@ def _cmd_critical(args):
     return {"dim": M.dim, "critical": critical_number(M)}
 
 
+def _check_count_budget(d: int, n: int, budget):
+    """Refuse (BudgetExceeded) an exact count of dim-d instances in dim n
+    whose count_instances walk of count_linear_injections(d - 1, n)
+    basis-image prefixes exceeds budget, before any is walked."""
+    if budget is None or not 0 < d <= n:
+        return
+    work = count_linear_injections(d - 1, n)
+    if work > budget:
+        raise BudgetExceeded(
+            f"an exact count walks {work} basis-image prefixes, over the budget of {budget}"
+        )
+
+
 def _cmd_instance(args):
     src = _pattern_arg(args.pattern)
     tgt = _pattern_arg(args.target)
+    if args.count:
+        _check_count_budget(src.dim, tgt.dim, args.budget)
     phi = find_instance(src, tgt)
     result = {
         "found": phi is not None,
         "map": list(phi.images) if phi else None,
     }
-    if args.count:
-        result["count"] = str(count_instances(src, tgt))
+    if args.count:  # no witness means no instance, so only a found one is counted
+        result["count"] = str(count_instances(src, tgt)) if phi else "0"
     return result
 
 
@@ -258,6 +273,7 @@ def _cmd_density(args):
     N = _pattern_arg(args.pattern)
     M = _matroid_arg(args.input)
     if args.samples is None:
+        _check_count_budget(N.dim, M.dim, args.budget)
         t = density(N, M)
         return {"density": t, "density_float": float(t)}
     est = density_in_function(
@@ -388,7 +404,9 @@ _OPTIONS = {  # argparse keyword arguments of each option, by name
     "count": dict(action="store_true", help="also count all instances"),
     "list": dict(action="store_true", help="enumerate the tables too"),
     "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
-    "budget": dict(type=int, default=None, help="search node budget"),
+    "budget": dict(type=int, default=None,
+                   help="search budget: DFS nodes (ramsey); basis-image prefixes walked,"
+                        " each O(n 2^n / 64) word operations (exact instance counts)"),
     "out": dict(default=None, help="output file (default stdout)"),
     "format": dict(choices=("json", "csv"), default="json", help="output format"),
 }

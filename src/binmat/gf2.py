@@ -16,6 +16,9 @@ Conventions used throughout the package:
   span_step, _image_search (given a per-level filter and candidate order),
   serves LinearInjections.image_tuples, instance search, canonical forms and
   critical numbers; only the packing walk calls span_step on its own.
+  _xor_shift(mask, t, n) moves bit v of a mask over the 2^n vectors to bit
+  v ^ t, one block swap per set bit of t; instance counts take the last
+  basis image's admissible set from it in one step.
   subspace_point_masks() walks the same echelon shapes as
   enumerate_subspaces() but yields point masks, not Subspace objects.
 * rooted_subspace_packing() does not sweep those masks: it walks the same
@@ -118,6 +121,31 @@ def span_step(table: list[int], level: int, v: int) -> list[int]:
     half = 1 << level
     table[half:half << 1] = new = [p ^ v for p in table[:half]]
     return new
+
+
+@lru_cache(maxsize=None)
+def _bit_clear_masks(n: int) -> tuple[int, ...]:
+    """masks[b], b < n: the mask over the 2^n vectors of F_2^n with bit v set
+    iff bit b of v is clear.  Each doubles its lowest 2^(b+1)-bit block, so n
+    = 20 costs a few hundred shifts, not a million block ORs."""
+    masks = []
+    for b in range(n):
+        mask, width = (1 << (1 << b)) - 1, 2 << b
+        while width < 1 << n:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _xor_shift(mask: int, t: int, n: int) -> int:
+    """The mask over the 2^n vectors of F_2^n with bit v ^ t set for each set
+    bit v of mask (t < 2^n): one swap of the 2^b-bit blocks per set bit b of
+    t."""
+    for b, clear in enumerate(_bit_clear_masks(n)):
+        if t >> b & 1:
+            mask = (mask & clear) << (1 << b) | mask >> (1 << b) & clear
+    return mask
 
 
 def _span_mask(vectors: Sequence[int]) -> int:

@@ -653,7 +653,8 @@ def ramsey_dimension(d: int, n_max: int, node_budget: int = RAMSEY_NODE_BUDGET) 
 def verify_ramsey_result(result: RamseyResult, samples: int = 10_000, seed=0) -> bool:
     """Independent certificate check: counterexamples are re-verified
     pointwise against every d-flat; at the returned value, universality is
-    re-tested on `samples` random colorings and the transcript must claim
+    re-tested on every coloring when there are at most `samples` of them,
+    else on `samples` random ones, and the transcript must claim
     exhaustion."""
     d = result.flat_dim
     for n, M in result.counterexamples.items():
@@ -672,10 +673,13 @@ def verify_ramsey_result(result: RamseyResult, samples: int = 10_000, seed=0) ->
     if n - 1 not in result.counterexamples:
         return False  # a value is only accepted with its one-below certificate
     flats = list(subspace_point_masks(n, d))
-    rng = random.Random(seed)
     npts = (1 << n) - 1
-    for _ in range(samples):
-        table = rng.getrandbits(npts)
+    if 1 << npts <= samples:
+        tables = range(1 << npts)  # exact, and cheaper than the samples
+    else:
+        rng = random.Random(seed)
+        tables = (rng.getrandbits(npts) for _ in range(samples))
+    for table in tables:
         if not any((table & f) == f or (table & f) == 0 for f in flats):
             return False  # definitive refutation of universality
     return True

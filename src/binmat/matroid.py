@@ -9,6 +9,10 @@ N(x) = M(phi(x)) for every non-star cell x of N.
 Everything in this module is exact: densities are fractions.  Instance
 search, canonical_form and critical_number are one search over basis images,
 gf2._image_search, each with a filter that prunes on the partial span.
+count_instances walks that search only over the first d - 1 images and
+counts the last level by popcount: per prefix, every admissible last image
+is one bit of an int mask over F_2^n (the AND of the last level's need
+masks, each moved by gf2._xor_shift).
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .gf2 import (
     _image_search,
     _mask_points,
     _points_mask,
+    _xor_shift,
     count_linear_injections,
     random_linear_injection,
     span_step,
@@ -321,9 +326,12 @@ def restrict(obj, W: Subspace):
 
 # --- instance search -------------------------------------------------------
 
-def _search_instances(N, tgt) -> Iterator[tuple[int, ...]]:
-    """The image tuples of the injections realizing N inside tgt, in
-    LinearInjections index order.
+def _instance_levels(N, tgt):
+    """The instance search of N in tgt as (d, n, cons, admits), or None when
+    no injection can realize N: level i decides phi on the points 2^i + xoff
+    (0 <= xoff < 2^i), cons[i] lists each constrained one as (xoff, need),
+    need the target's mask of the value it asks for (bit v for vector v), and
+    admits is the per-level filter of gf2._image_search.
 
     N and tgt may each be a Matroid or a Pattern; for a Pattern target the
     match is exact (a '*' cell of tgt satisfies no 0/1 requirement of N, so
@@ -336,9 +344,8 @@ def _search_instances(N, tgt) -> Iterator[tuple[int, ...]]:
     if d > n or src.ones.bit_count() > tgt_pat.ones.bit_count() or (
         src.zeros.bit_count() > tgt_pat.zeros.bit_count()
     ):
-        return iter(())
+        return None
     tgt_ones, tgt_zeros = tgt_pat.ones << 1, tgt_pat.zeros << 1  # bit p for point p
-    # level i decides phi on the points 2^i + xoff (0 <= xoff < 2^i)
     cons: list[list[tuple[int, int]]] = [[] for _ in range(d)]
     for x in _mask_points(src.ones | src.zeros):
         i = x.bit_length() - 1
@@ -350,17 +357,47 @@ def _search_instances(N, tgt) -> Iterator[tuple[int, ...]]:
                 return False
         return True
 
-    return _image_search(d, n, admits)
+    return d, n, cons, admits
 
 
 def find_instance(N, M) -> Optional[LinearMap]:
-    """A witness injection realizing N inside M, or None."""
-    images = next(_search_instances(N, M), None)
+    """A witness injection realizing N inside M, or None: the first in
+    LinearInjections index order."""
+    levels = _instance_levels(N, M)
+    if levels is None:
+        return None
+    d, n, _, admits = levels
+    images = next(_image_search(d, n, admits), None)
     return None if images is None else LinearMap(N.dim, M.dim, images)
 
 
 def count_instances(N, M) -> int:
-    return sum(1 for _ in _search_instances(N, M))
+    """The number of injections realizing N inside M.
+
+    The search walks only the first d - 1 basis images, with find_instance's
+    filter: at most count_linear_injections(d - 1, n) prefixes.  For each
+    prefix, the last image img is admissible iff need has bit
+    table[xoff] ^ img set for each last-level constraint (xoff, need): the
+    AND of the needs, each moved by gf2._xor_shift, is the mask of every
+    admissible img, and its popcount outside the prefix's span counts them
+    in one step.  A prefix with c last-level constraints thus costs
+    O((c n + 2^(d-1)) 2^n / 64) word operations, not O(1).
+    """
+    levels = _instance_levels(N, M)
+    if levels is None:
+        return 0
+    d, n, cons, admits = levels
+    if d == 0:
+        return 1  # the empty map
+    full = (1 << (1 << n)) - 1
+    total = 0
+    for prefix in _image_search(d - 1, n, admits):
+        table = span_table(prefix)
+        cand = full
+        for xoff, need in cons[d - 1]:
+            cand &= _xor_shift(need, table[xoff], n)
+        total += cand.bit_count() - sum(cand >> p & 1 for p in table)
+    return total
 
 
 def is_isomorphic(M1: Matroid, M2: Matroid) -> bool:

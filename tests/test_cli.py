@@ -118,6 +118,8 @@ def test_instance_search(capsys):
     assert art["result"]["count"] == "3"
     art2 = run_json(capsys, "instance", "--pattern", "O2", "--target", "ones:2")
     assert art2["result"] == {"found": False, "map": None}
+    art3 = run_json(capsys, "instance", "--pattern", "O2", "--target", "ones:2", "--count")
+    assert art3["result"] == {"found": False, "map": None, "count": "0"}
 
 
 def test_density_exact_and_sampled(capsys):
@@ -141,6 +143,26 @@ def test_ramsey_budget_refusal(capsys):
     assert code == 2
     assert out == ""
     assert "budget refused" in err
+
+
+def test_instance_count_budget_refusal(capsys):
+    # the count walks count_linear_injections(2, 5) = 930 prefixes
+    argv = ("instance", "--pattern", "zeros:3", "--target", "zeros:5", "--count")
+    code, out, err = run(capsys, *argv, "--budget", "929")
+    assert code == 2 and out == ""
+    assert "budget refused" in err and "930" in err and "929" in err
+    assert "Traceback" not in err
+    assert run_json(capsys, *argv, "--budget", "930")["result"]["count"] == str(31 * 30 * 28)
+
+
+def test_density_budget_refusal(capsys):
+    # the count walks count_linear_injections(1, 4) = 15 prefixes
+    argv = ("density", "--pattern", "O2", "--input", "zeros:4")
+    code, out, err = run(capsys, *argv, "--budget", "14")
+    assert code == 2 and out == ""
+    assert "budget refused" in err and "15" in err and "14" in err
+    assert "Traceback" not in err
+    assert run_json(capsys, *argv, "--budget", "15")["result"]["density"] == "1/1"
 
 
 def test_pack_profiles(capsys):

@@ -17,8 +17,10 @@ from binmat.gf2 import (
     LinearMap,
     Subspace,
     _GL_CLASSES,
+    _bit_clear_masks,
     _mask_points,
     _points_mask,
+    _xor_shift,
     count_linear_injections,
     enumerate_points,
     enumerate_subspaces,
@@ -51,6 +53,28 @@ def brute_force_flats(n: int, d: int) -> set:
 
 
 # --- echelon form -------------------------------------------------------------
+
+def test_xor_shift_matches_pointwise_definition():
+    rng = random.Random(29)
+    for n in range(7):
+        for t in range(1 << n):
+            for mask in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n), rng.getrandbits(1 << n)):
+                want = sum(1 << (v ^ t) for v in range(1 << n) if mask >> v & 1)
+                assert _xor_shift(mask, t, n) == want
+
+
+def test_bit_clear_masks_dim20():
+    rng = random.Random(20)
+    masks = _bit_clear_masks(20)
+    assert len(masks) == 20
+    for b in (0, 1, 5, 13, 19):
+        assert masks[b].bit_count() == 1 << 19 and masks[b] < 1 << (1 << 20)
+        for v in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(50)]:
+            assert masks[b] >> v & 1 == (not v >> b & 1)
+    for _ in range(20):
+        p, q, t = (rng.getrandbits(20) for _ in range(3))
+        assert _xor_shift(1 << p | 1 << q, t, 20) == 1 << (p ^ t) | 1 << (q ^ t)
+
 
 def test_rref_known():
     assert rref([]) == ()

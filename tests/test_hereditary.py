@@ -1126,6 +1126,17 @@ def test_ramsey_verifier_rejects_tampering():
     assert not verify_ramsey_result(bad_transcript, samples=50)
 
 
+def test_ramsey_verifier_refuses_a_low_value_on_every_seed():
+    # a dim-2 space has one 2-flat, and 6 of its 8 colorings are not
+    # monochromatic; with samples >= 8 every coloring is tested
+    claim = hereditary.RamseyResult(2, 2, {1: Matroid(1, 0)}, {"dimension": 2, "exhausted": True})
+    for seed in range(20):
+        for samples in (8, 1000):
+            assert not verify_ramsey_result(claim, samples=samples, seed=seed)
+    res = ramsey_dimension(2, 5)
+    assert all(verify_ramsey_result(res, samples=128, seed=seed) for seed in range(5))
+
+
 def test_ramsey_dimension_one():
     # every nonempty coloring of a single point is monochromatic
     res = ramsey_dimension(1, 3)

@@ -5,7 +5,9 @@ import json
 import random
 import time
 from fractions import Fraction
+from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from binmat.errors import BudgetExceeded
 from binmat.gf2 import (
     LinearInjections,
     Subspace,
+    count_linear_injections,
     enumerate_subspaces,
     random_linear_injection,
     rank,
@@ -379,6 +382,61 @@ def test_instance_search_matches_brute_force(d, n, src_ones, src_zeros, ones, ze
     assert count_instances(N, T) == len(realizing)
     found = find_instance(N, T)
     assert (None if found is None else found.images) == (realizing[0] if realizing else None)
+
+
+def numpy_instances(N: Pattern, T) -> tuple[int, Optional[tuple[int, ...]]]:
+    """The number of injective linear maps F_2^d -> F_2^n realizing N in T,
+    and the least realizing image tuple, by a brute force over every d-tuple
+    of vectors of F_2^n (lexicographic, the order of LinearInjections)."""
+    d, n = N.dim, T.dim
+    tuples = np.indices((1 << n,) * d).reshape(d, -1)
+    images = [np.zeros(tuples.shape[1], dtype=np.int64)]  # images[x]: the image of point x
+    for col in tuples:
+        images += [img ^ col for img in images]
+    ok = np.all(images[1:], axis=0)  # injective: no point maps to 0
+    assert ok.sum() == count_linear_injections(d, n)
+    Tp = T if isinstance(T, Pattern) else T.to_pattern()
+    ones, zeros = (np.array([0] + [m >> (p - 1) & 1 for p in range(1, 1 << n)], dtype=bool)
+                   for m in (Tp.ones, Tp.zeros))
+    for x in range(1, 1 << d):
+        if N(x) != STAR:
+            ok &= (ones if N(x) == 1 else zeros)[images[x]]
+    first = tuple(tuples[:, np.argmax(ok)].tolist()) if ok.any() else None
+    return int(ok.sum()), first
+
+
+CELLS6 = st.integers(0, (1 << 63) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(5, 6), CELLS3, CELLS3, CELLS6, CELLS6, st.booleans())
+@example(3, 6, 0, 0b1111111, 0, 0b1111111, False)  # zeros:3 in a half-zero matroid
+@example(3, 5, 0b1, 0b10, 0, 0, False)  # no constraint on the last level
+@example(2, 6, 0b111, 0, (1 << 63) - 1, 0, True)  # ones:2 in the all-ones table
+@example(1, 5, 0, 0, 5, 2, True)  # a one-point pattern of stars
+def test_count_instances_matches_numpy_brute_force(d, n, src_ones, src_zeros, ones, zeros,
+                                                   as_pattern):
+    """The popcount count and find_instance on dim-5 and dim-6 targets,
+    Matroid and Pattern, against numpy_instances."""
+    src_full, tgt_full = (1 << ((1 << d) - 1)) - 1, (1 << ((1 << n) - 1)) - 1
+    N = Pattern(d, src_ones & src_full, src_zeros & src_full & ~src_ones)
+    ones &= tgt_full
+    T = Pattern(n, ones, zeros & tgt_full & ~ones) if as_pattern else Matroid(n, ones)
+    count, first = numpy_instances(N, T)
+    assert count_instances(N, T) == count
+    found = find_instance(N, T)
+    assert (None if found is None else found.images) == first
+
+
+def test_density_is_count_over_injections():
+    rng = random.Random(29)
+    for _ in range(40):
+        M = sample_matroid(rng.randint(3, 6), rng)
+        d = rng.randint(0, 3)
+        cells = [rng.choice((0, 1, STAR, STAR)) for _ in range((1 << d) - 1)]
+        N = Pattern.from_values(cells)
+        assert density(N, M) == Fraction(count_instances(N, M),
+                                          count_linear_injections(d, M.dim))
 
 
 # --- isomorphism -------------------------------------------------------------------
